@@ -182,13 +182,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import registry
 
     print("Reproducible artifacts (paper table/figure -> experiment id):")
-    for exp_id, fn in EXPERIMENTS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
-        print(f"  {exp_id:8s} {doc}")
+    for exp_id, exp in registry.EXPERIMENTS.items():
+        print(f"  {exp_id:8s} {exp.title}")
     return 0
+
+
+def _resolve(names: List[str]) -> List[str]:
+    """Expand ``["all"]`` to every experiment id; ``KeyError`` if unknown."""
+    from repro.experiments import registry
+
+    if names == ["all"]:
+        return registry.experiment_ids()
+    for name in names:
+        registry.get(name)
+    return names
 
 
 def _run_via_runner(targets: List[str], quick: bool, args):
@@ -206,13 +216,10 @@ def _run_via_runner(targets: List[str], quick: bool, args):
 
 
 def _cmd_run(exp_id: str, quick: bool, args) -> int:
-    from repro.experiments import EXPERIMENTS
-
-    targets = list(EXPERIMENTS) if exp_id == "all" else [exp_id]
-    unknown = [t for t in targets if t not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment {unknown[0]!r}; "
-              f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+    try:
+        targets = _resolve([exp_id])
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     report = _run_via_runner(targets, quick, args)
     failures = 0
@@ -257,10 +264,10 @@ def _cmd_info() -> int:
 
 
 def _cmd_report(output: str, quick: bool, args) -> int:
-    from repro.experiments import experiment_ids
+    from repro.experiments import registry
     from repro.experiments.report import render_markdown
 
-    report = _run_via_runner(experiment_ids(), quick, args)
+    report = _run_via_runner(registry.experiment_ids(), quick, args)
     text = render_markdown(report.results, quick=quick)
     with open(output, "w") as fh:
         fh.write(text)
@@ -277,15 +284,12 @@ def _cmd_report(output: str, quick: bool, args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.experiments import EXPERIMENTS
     from repro.sim.diff import diff_experiment
 
-    targets = (list(EXPERIMENTS) if args.experiments == ["all"]
-               else args.experiments)
-    unknown = [t for t in targets if t not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment {unknown[0]!r}; "
-              f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+    try:
+        targets = _resolve(args.experiments)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     diverged = []
     for exp_id in targets:
@@ -330,9 +334,9 @@ def _cmd_serve(args) -> int:
 
     warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
     if warm_ids:
-        from repro.experiments import experiment_ids
         if "all" in warm_ids:
-            warm_ids = experiment_ids()
+            from repro.experiments import registry
+            warm_ids = registry.experiment_ids()
         report = warm(warm_ids, quick=not args.warm_full, engine=engine,
                       stream=sys.stderr)
         print(report.summary_text(), file=sys.stderr)

@@ -1,7 +1,8 @@
 """Per-table/figure experiment harness.
 
-Each experiment in :data:`EXPERIMENTS` regenerates one artifact of the
-paper's evaluation section and returns an
+Each :class:`~repro.experiments.registry.Experiment` in
+:data:`EXPERIMENTS` regenerates one artifact of the paper's evaluation
+section as a sweep of simulator points folded into an
 :class:`~repro.experiments.results.ExperimentResult` whose ``checks``
 encode the paper's qualitative claims (orderings, crossovers, bands).
 ``quick=True`` runs a scaled-down configuration for test suites;
@@ -11,9 +12,8 @@ encode the paper's qualitative claims (orderings, crossovers, bands).
 from repro.experiments.results import ExperimentResult, Series, ascii_chart
 from repro.experiments.registry import (
     EXPERIMENTS,
-    ExperimentSuiteError,
+    Experiment,
     experiment_ids,
-    run_all,
     run_experiment,
 )
 from repro.experiments.scf11_exps import FIG1_TUPLES, ConfigTuple, run_tuple
@@ -28,9 +28,8 @@ __all__ = [
     "Series",
     "ascii_chart",
     "EXPERIMENTS",
-    "ExperimentSuiteError",
+    "Experiment",
     "experiment_ids",
-    "run_all",
     "run_experiment",
     "FIG1_TUPLES",
     "ConfigTuple",

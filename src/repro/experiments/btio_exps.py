@@ -1,9 +1,8 @@
 """BTIO experiments: Figure 6 (collective I/O) and Figure 7 (bandwidth).
 
-Both figures follow the runner's sweep-point protocol (``*_points`` /
-``*_run_point`` / ``*_assemble``); the plain ``fig6``/``fig7`` callables
-are the serial composition of the three and stay the registry entry
-points.
+Each figure is a sweep: ``*_points`` declares its configurations,
+``*_run_point`` simulates one and ``*_assemble`` folds the payloads into
+the result; the registry pairs the three into one ``Experiment``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from repro.apps.btio import BTIOConfig, run_btio
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import sp2
 
-__all__ = ["fig6", "fig6_points", "fig6_run_point", "fig6_assemble",
-           "fig7", "fig7_points", "fig7_run_point", "fig7_assemble"]
+__all__ = ["fig6_points", "fig6_run_point", "fig6_assemble",
+           "fig7_points", "fig7_run_point", "fig7_assemble"]
 
 _MB = 1024 * 1024
 
@@ -52,7 +51,13 @@ def fig6_run_point(point: dict) -> dict:
 
 def fig6_assemble(point_results: Sequence[dict],
                   quick: bool = False) -> ExperimentResult:
-    """Fold the sweep-point payloads into the Figure-6 result."""
+    """Fold the sweep-point payloads into the Figure-6 result.
+
+    Paper claims: the unoptimized I/O time varies drastically with the
+    processor count and stops the execution time from improving around 36
+    processors; two-phase collective I/O removes the pathology, cutting
+    total time by 46%/49% at 36/64 processors.
+    """
     procs, _ = _fig6_params(quick)
     by_point: Dict[Tuple[str, int], dict] = {
         (r["label"], r["p"]): r for r in point_results}
@@ -102,18 +107,6 @@ def fig6_assemble(point_results: Sequence[dict],
     return exp
 
 
-def fig6(quick: bool = False) -> ExperimentResult:
-    """Figure 6: BTIO Class A I/O and total time vs processors.
-
-    Paper claims: the unoptimized I/O time varies drastically with the
-    processor count and stops the execution time from improving around 36
-    processors; two-phase collective I/O removes the pathology, cutting
-    total time by 46%/49% at 36/64 processors.
-    """
-    return fig6_assemble([fig6_run_point(pt) for pt in fig6_points(quick)],
-                         quick=quick)
-
-
 def _fig7_params(quick: bool) -> Tuple[List[int], List[str]]:
     procs = [16, 36] if quick else [16, 36, 64]
     classes = ["A"] if quick else ["A", "B"]
@@ -142,7 +135,11 @@ def fig7_run_point(point: dict) -> dict:
 
 def fig7_assemble(point_results: Sequence[dict],
                   quick: bool = False) -> ExperimentResult:
-    """Fold the sweep-point payloads into the Figure-7 result."""
+    """Fold the sweep-point payloads into the Figure-7 result.
+
+    Paper: original 0.97-1.5 MB/s; optimized 6.6-31.4 MB/s (Class A and
+    Class B inputs).
+    """
     procs, classes = _fig7_params(quick)
     by_point: Dict[Tuple[str, str, int], dict] = {
         (r["class"], r["version"], r["p"]): r for r in point_results}
@@ -178,13 +175,3 @@ def fig7_assemble(point_results: Sequence[dict],
     exp.add_check("optimization improves bandwidth by >5x everywhere",
                   min(opt_bws) > 5 * max(orig_bws) / 2.5)
     return exp
-
-
-def fig7(quick: bool = False) -> ExperimentResult:
-    """Figure 7: I/O bandwidths of original and optimized BTIO.
-
-    Paper: original 0.97-1.5 MB/s; optimized 6.6-31.4 MB/s (Class A and
-    Class B inputs).
-    """
-    return fig7_assemble([fig7_run_point(pt) for pt in fig7_points(quick)],
-                         quick=quick)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import faults
 from repro.experiments.results import ExperimentResult, Series
 
-__all__ = ["fig_faults", "fig_faults_points", "fig_faults_run_point",
+__all__ = ["fig_faults_points", "fig_faults_run_point",
            "fig_faults_assemble", "FAULT_KINDS"]
 
 #: Fault classes swept by the experiment, in series order.
@@ -242,10 +242,3 @@ def fig_faults_assemble(point_results: Sequence[dict],
         "write-dominated in the faulted window, so there is no warm "
         "read cache to lose")
     return exp
-
-
-def fig_faults(quick: bool = False) -> ExperimentResult:
-    """Paper Figures 2 & 7 re-run under injected machine faults."""
-    return fig_faults_assemble(
-        [fig_faults_run_point(p) for p in fig_faults_points(quick)],
-        quick=quick)

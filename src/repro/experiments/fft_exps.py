@@ -1,12 +1,12 @@
 """FFT experiment: Figure 5 (file-layout optimization).
 
-Figure 5 follows the runner's sweep-point protocol: ``fig5_points``
-declares every (variant, processor-count) configuration as a plain
-config dict, ``fig5_run_point`` simulates one of them and returns a
-JSON-able payload, and ``fig5_assemble`` folds the payloads into the
-:class:`ExperimentResult` with the paper's checks.  ``fig5`` itself is
-the serial composition of the three, so running it directly and running
-its points through :mod:`repro.runner` produce identical results.
+Figure 5 is a sweep: ``fig5_points`` declares every (variant,
+processor-count) configuration as a plain config dict,
+``fig5_run_point`` simulates one of them and returns a JSON-able
+payload, and ``fig5_assemble`` folds the payloads into the
+:class:`ExperimentResult` with the paper's checks.  The registry pairs
+the three into one ``Experiment``, which the direct path and
+:mod:`repro.runner` both execute.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.apps.fft2d import FFTConfig, run_fft
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import paragon_small
 
-__all__ = ["fig5", "fig5_points", "fig5_run_point", "fig5_assemble"]
+__all__ = ["fig5_points", "fig5_run_point", "fig5_assemble"]
 
 #: (series label prefix, FFTConfig.version, I/O-node count)
 _VARIANTS = [("unopt 2io", "unoptimized", 2),
@@ -57,7 +57,13 @@ def fig5_run_point(point: dict) -> dict:
 
 def fig5_assemble(point_results: Sequence[dict],
                   quick: bool = False) -> ExperimentResult:
-    """Fold the sweep-point payloads into the Figure-5 result."""
+    """Fold the sweep-point payloads into the Figure-5 result.
+
+    Paper claims: the unoptimized 2-I/O-node I/O time *increases* beyond
+    4 compute nodes (beyond 8 for 4 I/O nodes); the layout-optimized
+    program on 2 I/O nodes beats the unoptimized one on 4 I/O nodes at
+    every processor count; I/O is 90-95% of the execution time.
+    """
     n, _, procs = _params(quick)
     by_point: Dict[Tuple[str, int], dict] = {
         (r["label"], r["p"]): r for r in point_results}
@@ -114,15 +120,3 @@ def fig5_assemble(point_results: Sequence[dict],
                      f"{FFTConfig(n=n).total_io_bytes / 2**30:.2f} GiB "
                      f"(paper: ~1.5 GB at n=4096)")
     return exp
-
-
-def fig5(quick: bool = False) -> ExperimentResult:
-    """Figure 5: FFT I/O and total times for three configurations.
-
-    Paper claims: the unoptimized 2-I/O-node I/O time *increases* beyond
-    4 compute nodes (beyond 8 for 4 I/O nodes); the layout-optimized
-    program on 2 I/O nodes beats the unoptimized one on 4 I/O nodes at
-    every processor count; I/O is 90-95% of the execution time.
-    """
-    return fig5_assemble([fig5_run_point(pt) for pt in fig5_points(quick)],
-                         quick=quick)

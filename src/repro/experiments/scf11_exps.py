@@ -1,10 +1,10 @@
 """SCF 1.1 experiments: Tables 2/3 and Figures 1-3.
 
-The figure experiments follow the runner's sweep-point protocol
-(``*_points`` / ``*_run_point`` / ``*_assemble``); the plain
-``fig1``/``fig2``/``fig3`` callables are the serial composition of the
-three and stay the registry entry points.  The table experiments are a
-single simulation each and are left whole.
+Each figure is a sweep: ``*_points`` declares its configurations,
+``*_run_point`` simulates one and ``*_assemble`` folds the payloads into
+the result; :data:`repro.experiments.registry.EXPERIMENTS` pairs the
+three into one ``Experiment``.  The tables are a single simulation each
+and are registered as one-point sweeps.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from repro.machine.presets import paragon_large
 from repro.trace import IOOp, summarize
 
 __all__ = ["ConfigTuple", "FIG1_TUPLES", "run_tuple", "table2", "table3",
-           "fig1", "fig1_points", "fig1_run_point", "fig1_assemble",
-           "fig2", "fig2_points", "fig2_run_point", "fig2_assemble",
-           "fig3", "fig3_points", "fig3_run_point", "fig3_assemble"]
+           "fig1_points", "fig1_run_point", "fig1_assemble",
+           "fig2_points", "fig2_run_point", "fig2_assemble",
+           "fig3_points", "fig3_run_point", "fig3_assemble"]
 
 #: Version letter -> SCF11Config.version
 _VERSIONS = {"O": "original", "P": "passion", "F": "prefetch"}
@@ -215,12 +215,6 @@ def fig1_assemble(point_results: Sequence[dict],
     return exp
 
 
-def fig1(quick: bool = False) -> ExperimentResult:
-    """Figure 1: incremental optimizations across input sizes."""
-    return fig1_assemble([fig1_run_point(pt) for pt in fig1_points(quick)],
-                         quick=quick)
-
-
 #: (series label, SCF11Config.version, I/O-node count) for Figure 2.
 _FIG2_VARIANTS = [("unopt 16io", "original", 16),
                   ("unopt 64io", "original", 64),
@@ -255,7 +249,12 @@ def fig2_run_point(point: dict) -> dict:
 
 def fig2_assemble(point_results: Sequence[dict],
                   quick: bool = False) -> ExperimentResult:
-    """Fold the sweep-point payloads into the Figure-2 result."""
+    """Fold the sweep-point payloads into the Figure-2 result.
+
+    The paper's claim: optimized (prefetch, 16 I/O nodes) wins up to 64
+    processors; beyond that the unoptimized code on 64 I/O nodes wins —
+    software can compensate for limited I/O resources only so far.
+    """
     _, procs, _ = _fig2_params(quick)
     by_point: Dict[Tuple[str, int], dict] = {
         (r["label"], r["p"]): r for r in point_results}
@@ -299,17 +298,6 @@ def fig2_assemble(point_results: Sequence[dict],
                       <= min(s.y_at(p) for s in exp.series) * 1.02
                       for p in procs if p <= 64))
     return exp
-
-
-def fig2(quick: bool = False) -> ExperimentResult:
-    """Figure 2: optimized-vs-unoptimized across processor counts.
-
-    The paper's claim: optimized (prefetch, 16 I/O nodes) wins up to 64
-    processors; beyond that the unoptimized code on 64 I/O nodes wins —
-    software can compensate for limited I/O resources only so far.
-    """
-    return fig2_assemble([fig2_run_point(pt) for pt in fig2_points(quick)],
-                         quick=quick)
 
 
 def _fig3_params(quick: bool) -> Tuple[int, List[int], int]:
@@ -367,9 +355,3 @@ def fig3_assemble(point_results: Sequence[dict],
     exp.notes.append(f"12->64 I/O-node speedup: {gain_small:.2f}x at "
                      f"P={small_p}, {gain_big:.2f}x at P={big_p}")
     return exp
-
-
-def fig3(quick: bool = False) -> ExperimentResult:
-    """Figure 3: effect of the I/O-node count on SCF 1.1."""
-    return fig3_assemble([fig3_run_point(pt) for pt in fig3_points(quick)],
-                         quick=quick)

@@ -1,8 +1,9 @@
 """SCF 3.0 experiment: Figure 4 (balanced I/O).
 
-Figure 4 follows the runner's sweep-point protocol (``fig4_points`` /
-``fig4_run_point`` / ``fig4_assemble``); ``fig4`` itself is the serial
-composition of the three and stays the registry entry point.
+Figure 4 is a sweep: ``fig4_points`` declares its configurations,
+``fig4_run_point`` simulates one and ``fig4_assemble`` folds the
+payloads into the result; the registry pairs the three into one
+``Experiment``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from repro.apps.scf30 import SCF30Config, run_scf30
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import paragon_large
 
-__all__ = ["fig4", "fig4_points", "fig4_run_point", "fig4_assemble"]
+__all__ = ["fig4_points", "fig4_run_point", "fig4_assemble"]
 
 
 def _params(quick: bool) -> Tuple[List[float], List[int], List[int], int]:
@@ -44,7 +45,13 @@ def fig4_run_point(point: dict) -> dict:
 
 def fig4_assemble(point_results: Sequence[dict],
                   quick: bool = False) -> ExperimentResult:
-    """Fold the sweep-point payloads into the Figure-4 result."""
+    """Fold the sweep-point payloads into the Figure-4 result.
+
+    Paper claims: (a) at 0% cached, adding processors is very effective;
+    (b) at 100% cached it barely matters; (c) the I/O-node count is not
+    very effective for this application; (d) caching more integrals is the
+    better lever at small/moderate processor counts.
+    """
     fractions, procs, io_nodes, _ = _params(quick)
     exp = ExperimentResult(
         exp_id="fig4",
@@ -93,15 +100,3 @@ def fig4_assemble(point_results: Sequence[dict],
     exp.notes.append(f"P={p_small}->{p_big} speedup: {speedup_recompute:.1f}x "
                      f"at 0% cached vs {speedup_cached:.2f}x at 100% cached")
     return exp
-
-
-def fig4(quick: bool = False) -> ExperimentResult:
-    """Figure 4: exec time vs %-cached-integrals, per P, for 16/64 I/O nodes.
-
-    Paper claims: (a) at 0% cached, adding processors is very effective;
-    (b) at 100% cached it barely matters; (c) the I/O-node count is not
-    very effective for this application; (d) caching more integrals is the
-    better lever at small/moderate processor counts.
-    """
-    return fig4_assemble([fig4_run_point(pt) for pt in fig4_points(quick)],
-                         quick=quick)

@@ -16,11 +16,8 @@ invalidation rules.
 
 from repro.runner.executor import JobOutcome, PoolExecutor
 from repro.runner.jobs import (
-    KIND_EXPERIMENT,
     KIND_POINT,
-    SWEEPS,
     JobSpec,
-    SweepSpec,
     assemble,
     decompose,
     decompose_many,
@@ -34,11 +31,8 @@ from repro.runner.store import DEFAULT_ROOT, CacheStats, ResultStore
 __all__ = [
     "JobOutcome",
     "PoolExecutor",
-    "KIND_EXPERIMENT",
     "KIND_POINT",
-    "SWEEPS",
     "JobSpec",
-    "SweepSpec",
     "assemble",
     "decompose",
     "decompose_many",

@@ -1,68 +1,30 @@
 """Job model: decompose experiments into independent, cacheable jobs.
 
 A *job* is the runner's unit of scheduling, caching and failure
-isolation.  Experiments that expose the sweep-point protocol
-(``<fig>_points`` / ``<fig>_run_point`` / ``<fig>_assemble``; see
-:data:`SWEEPS`) decompose into one job per sweep point; the rest run as
-a single whole-experiment job.  Either way a job is fully described by
-``(exp_id, kind, config)`` — a declared, JSON-able config dict — which
-is what makes results content-addressable (:mod:`repro.runner.keys`) and
-lets worker processes re-resolve the work from the registry instead of
-pickling callables.
+isolation: one sweep point of a registered
+:class:`~repro.experiments.registry.Experiment` (a table is a one-point
+sweep).  A job is fully described by ``(exp_id, kind, config)`` — a
+declared, JSON-able config dict — which is what makes results
+content-addressable (:mod:`repro.runner.keys`) and lets worker
+processes re-resolve the work from the registry instead of pickling
+callables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Sequence
 
 from repro.experiments import registry
-from repro.experiments import (btio_exps, fault_exps, fft_exps, scf11_exps,
-                               scf30_exps)
 from repro.experiments.results import ExperimentResult
 from repro.runner.keys import job_key
 
-__all__ = ["KIND_POINT", "KIND_EXPERIMENT", "SweepSpec", "SWEEPS",
-           "JobSpec", "decompose", "decompose_many", "execute_job",
-           "assemble"]
+__all__ = ["KIND_POINT", "JobSpec", "decompose", "decompose_many",
+           "execute_job", "assemble"]
 
-#: Job kinds: one sweep point of a decomposed experiment vs a whole one.
+#: The one job kind: a sweep point of a registered experiment.  It is
+#: part of every cache key.
 KIND_POINT = "point"
-KIND_EXPERIMENT = "experiment"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """The three hooks of a sweep-decomposable experiment."""
-
-    points: Callable[[bool], List[dict]]
-    run_point: Callable[[dict], dict]
-    assemble: Callable[..., ExperimentResult]
-
-
-#: Experiments that decompose into independent sweep-point jobs.  The
-#: table experiments are one (table1, table2, table4) or few (table3,
-#: table5) simulations with interdependent aggregation, so they stay
-#: whole-experiment jobs.
-SWEEPS: Dict[str, SweepSpec] = {
-    "fig1": SweepSpec(scf11_exps.fig1_points, scf11_exps.fig1_run_point,
-                      scf11_exps.fig1_assemble),
-    "fig2": SweepSpec(scf11_exps.fig2_points, scf11_exps.fig2_run_point,
-                      scf11_exps.fig2_assemble),
-    "fig3": SweepSpec(scf11_exps.fig3_points, scf11_exps.fig3_run_point,
-                      scf11_exps.fig3_assemble),
-    "fig4": SweepSpec(scf30_exps.fig4_points, scf30_exps.fig4_run_point,
-                      scf30_exps.fig4_assemble),
-    "fig5": SweepSpec(fft_exps.fig5_points, fft_exps.fig5_run_point,
-                      fft_exps.fig5_assemble),
-    "fig6": SweepSpec(btio_exps.fig6_points, btio_exps.fig6_run_point,
-                      btio_exps.fig6_assemble),
-    "fig7": SweepSpec(btio_exps.fig7_points, btio_exps.fig7_run_point,
-                      btio_exps.fig7_assemble),
-    "fig_faults": SweepSpec(fault_exps.fig_faults_points,
-                            fault_exps.fig_faults_run_point,
-                            fault_exps.fig_faults_assemble),
-}
 
 
 @dataclass(frozen=True)
@@ -82,19 +44,10 @@ class JobSpec:
 
 
 def decompose(exp_id: str, quick: bool = False) -> List[JobSpec]:
-    """Decompose one registered experiment into its jobs."""
-    if exp_id not in registry.EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; "
-            f"known: {', '.join(registry.EXPERIMENTS)}")
-    spec = SWEEPS.get(exp_id)
-    if spec is None:
-        return [JobSpec(job_id=f"{exp_id}#000", exp_id=exp_id,
-                        kind=KIND_EXPERIMENT,
-                        config={"quick": bool(quick)}, index=0)]
+    """Decompose one registered experiment into its point jobs."""
     return [JobSpec(job_id=f"{exp_id}#{i:03d}", exp_id=exp_id,
                     kind=KIND_POINT, config=dict(point), index=i)
-            for i, point in enumerate(spec.points(quick))]
+            for i, point in enumerate(registry.get(exp_id).points(quick))]
 
 
 def decompose_many(exp_ids: Iterable[str],
@@ -111,29 +64,18 @@ def execute_job(exp_id: str, kind: str,
     """Run one job, returning its JSON-able payload.
 
     This is the function worker processes execute; it re-resolves the
-    work from the registry / sweep table, so jobs cross the process
-    boundary as plain data.
+    work from the registry, so jobs cross the process boundary as plain
+    data.
     """
-    if kind == KIND_POINT:
-        return SWEEPS[exp_id].run_point(dict(config))
-    if kind == KIND_EXPERIMENT:
-        result = registry.run_experiment(
-            exp_id, quick=bool(config.get("quick", False)))
-        return result.to_dict()
-    raise ValueError(f"unknown job kind {kind!r}")
+    if kind != KIND_POINT:
+        raise ValueError(f"unknown job kind {kind!r}")
+    return registry.get(exp_id).run_point(dict(config))
 
 
 def assemble(exp_id: str, payloads: Sequence[dict],
              quick: bool = False) -> ExperimentResult:
-    """Fold a decomposed experiment's job payloads back into its result.
+    """Fold an experiment's job payloads back into its result.
 
     ``payloads`` must be in job-index order.
     """
-    spec = SWEEPS.get(exp_id)
-    if spec is None:
-        if len(payloads) != 1:
-            raise ValueError(
-                f"{exp_id}: expected 1 whole-experiment payload, "
-                f"got {len(payloads)}")
-        return ExperimentResult.from_dict(payloads[0])
-    return spec.assemble(list(payloads), quick=quick)
+    return registry.get(exp_id).assemble(list(payloads), quick=quick)

@@ -10,12 +10,13 @@ Routes
 - ``GET /healthz`` — liveness + queue/in-flight snapshot (never gated
   by admission, so probes still answer under overload).
 - ``GET /metrics`` — Prometheus text; ``?format=json`` for JSON.
-- ``GET /v1/experiments`` — registry listing with sweep-point counts.
+- ``GET /v1/experiments`` — registry listing: id, title and point
+  counts per scale.
 - ``GET /v1/experiments/{name}?scale=quick|full`` — the assembled
   :class:`~repro.experiments.results.ExperimentResult`, computing (and
   caching) whatever sweep points are missing.
-- ``POST /v1/points`` — run one job: ``{"exp_id": ..., "config": {...},
-  "kind": "point"|"experiment"}``.
+- ``POST /v1/points`` — run one sweep point: ``{"exp_id": ...,
+  "config": {...}, "kind": "point"}`` (``kind`` is optional).
 
 Degradation contract: saturation → ``429`` + ``Retry-After``; request
 timeout → ``504``; draining → ``503``; a failing job → ``500`` carrying
@@ -34,8 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro._version import __version__
 from repro.experiments import registry
-from repro.runner.jobs import (KIND_EXPERIMENT, KIND_POINT, SWEEPS, JobSpec,
-                               assemble, decompose)
+from repro.runner.jobs import KIND_POINT, JobSpec, assemble, decompose
 from repro.runner.store import ResultStore
 from repro.serve.admission import (AdmissionController, DrainingError,
                                    RejectedError)
@@ -329,22 +329,21 @@ class ServeApp:
     @staticmethod
     def _list_experiments() -> dict:
         out: List[dict] = []
-        for exp_id, fn in registry.EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()
-            spec = SWEEPS.get(exp_id)
+        for exp_id, exp in registry.EXPERIMENTS.items():
             out.append({
                 "id": exp_id,
-                "title": doc[0] if doc else "",
-                "sweep": spec is not None,
-                "points_quick": len(spec.points(True)) if spec else 1,
-                "points_full": len(spec.points(False)) if spec else 1,
+                "title": exp.title,
+                "points_quick": len(exp.points(True)),
+                "points_full": len(exp.points(False)),
             })
         return {"experiments": out}
 
     async def _get_experiment(self, name: str,
                               query: Dict[str, str]) -> dict:
-        if name not in registry.EXPERIMENTS:
-            raise _HTTPError(404, f"unknown experiment {name!r}")
+        try:
+            registry.get(name)
+        except KeyError as exc:
+            raise _HTTPError(404, exc.args[0]) from None
         scale = query.get("scale", "quick")
         if scale not in ("quick", "full"):
             raise _HTTPError(400, "scale must be 'quick' or 'full'")
@@ -383,21 +382,15 @@ class ServeApp:
         if not isinstance(req, dict):
             raise _HTTPError(400, "body must be a JSON object")
         exp_id = req.get("exp_id")
-        if not isinstance(exp_id, str) or \
-                exp_id not in registry.EXPERIMENTS:
-            raise _HTTPError(
-                404 if isinstance(exp_id, str) else 400,
-                f"unknown experiment {exp_id!r}; known: "
-                f"{', '.join(registry.EXPERIMENTS)}")
-        default_kind = KIND_POINT if exp_id in SWEEPS else KIND_EXPERIMENT
-        kind = req.get("kind", default_kind)
-        if kind not in (KIND_POINT, KIND_EXPERIMENT):
-            raise _HTTPError(400, f"kind must be {KIND_POINT!r} or "
-                                  f"{KIND_EXPERIMENT!r}")
-        if kind == KIND_POINT and exp_id not in SWEEPS:
-            raise _HTTPError(
-                400, f"{exp_id} is not sweep-decomposable; "
-                     f"use kind={KIND_EXPERIMENT!r}")
+        if not isinstance(exp_id, str):
+            raise _HTTPError(400, "exp_id must be a string")
+        try:
+            registry.get(exp_id)
+        except KeyError as exc:
+            raise _HTTPError(404, exc.args[0]) from None
+        kind = req.get("kind", KIND_POINT)
+        if kind != KIND_POINT:
+            raise _HTTPError(400, f"kind must be {KIND_POINT!r}")
         config = req.get("config", {})
         if not isinstance(config, dict):
             raise _HTTPError(400, "config must be a JSON object")

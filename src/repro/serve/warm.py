@@ -79,10 +79,7 @@ def warm(exp_ids: Iterable[str], quick: bool = True,
     """
     exp_ids = list(exp_ids)
     for exp_id in exp_ids:
-        if exp_id not in registry.EXPERIMENTS:
-            raise KeyError(
-                f"unknown experiment {exp_id!r}; "
-                f"known: {', '.join(registry.EXPERIMENTS)}")
+        registry.get(exp_id)
     own_engine = engine is None
     if engine is None:
         engine = ServeEngine()
@@ -123,11 +120,11 @@ def main_warm(args) -> int:
 
     targets = (registry.experiment_ids()
                if args.experiments == ["all"] else args.experiments)
-    unknown = [t for t in targets if t not in registry.EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment {unknown[0]!r}; "
-              f"known: {', '.join(registry.EXPERIMENTS)}",
-              file=sys.stderr)
+    try:
+        for exp_id in targets:
+            registry.get(exp_id)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     # Concurrency comes from the dispatcher threads; with --jobs >= 2
     # the executor runs in pool mode, so each dispatched job gets its

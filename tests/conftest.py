@@ -85,6 +85,38 @@ def kernel_diff():
     return check
 
 
+def register_experiment(monkeypatch, exp_id, run_point=None, n_points=3,
+                        whole=None):
+    """Register one toy :class:`~repro.experiments.registry.Experiment`
+    as ``exp_id`` in the live registry; returns it.
+
+    By default it is a sweep of ``n_points`` points ``{"i": i, "quick":
+    quick}`` whose ``run_point`` returns ``{**point, "y": 10 * i}`` and
+    whose result has the payloads as rows in ``i`` order plus one
+    passing check.  ``whole=fn(quick)`` registers a whole-experiment
+    callable through the tables' one-point adapter instead.
+    """
+    from repro.experiments import ExperimentResult, registry
+
+    def points(quick):
+        return [{"i": i, "quick": bool(quick)} for i in range(n_points)]
+
+    def default_run_point(point):
+        return {**point, "y": point["i"] * 10.0}
+
+    def assemble(payloads, quick=False):
+        res = ExperimentResult(exp_id, "toy", "ref")
+        res.rows = sorted(payloads, key=lambda p: p["i"])
+        res.add_check("ok", True)
+        return res
+
+    exp = registry.one_point("toy", whole) if whole is not None else \
+        registry.Experiment("toy", points, run_point or default_run_point,
+                            assemble)
+    monkeypatch.setitem(registry.EXPERIMENTS, exp_id, exp)
+    return exp
+
+
 def run_proc(machine_or_env, gen, name=None):
     """Run a single generator process to completion, returning its value."""
     env = getattr(machine_or_env, "env", machine_or_env)

@@ -197,22 +197,21 @@ class TestCLI:
 class TestCLIRunFailures:
     def test_run_failing_checks_exit_code(self, capsys, monkeypatch):
         from repro import cli
-        import repro.experiments.registry as registry
         from repro.experiments import ExperimentResult
+        from tests.conftest import register_experiment
 
         def fake(quick=False):
             res = ExperimentResult("x", "t", "ref")
             res.add_check("doomed", False)
             return res
 
-        monkeypatch.setitem(registry.EXPERIMENTS, "x", fake)
+        register_experiment(monkeypatch, "x", whole=fake)
         assert cli.main(["run", "x", "--quick"]) == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out
 
     def test_run_all_iterates_registry(self, monkeypatch, capsys):
         from repro import cli
-        import repro.experiments as exps
         import repro.experiments.registry as registry
         from repro.experiments import ExperimentResult
         calls = []
@@ -225,10 +224,9 @@ class TestCLIRunFailures:
                 return res
             return fake
 
-        # The runner resolves experiments through the registry module, and
-        # the CLI lists targets via the package re-export; patch both.
-        fakes = {"a": make("a"), "b": make("b")}
-        monkeypatch.setattr(registry, "EXPERIMENTS", fakes)
-        monkeypatch.setattr(exps, "EXPERIMENTS", fakes)
+        # The CLI and the runner both resolve through the registry module.
+        monkeypatch.setattr(registry, "EXPERIMENTS", {
+            "a": registry.one_point("a", make("a")),
+            "b": registry.one_point("b", make("b"))})
         assert cli.main(["run", "all", "--quick", "--no-cache"]) == 0
         assert calls == ["a", "b"]

@@ -54,12 +54,12 @@ class TestRenderMarkdown:
 
 
 def _patch_registry(monkeypatch, fakes):
-    """Swap the experiment registry for ``fakes`` (runner + CLI views)."""
-    import repro.experiments as exps
+    """Swap the experiment registry for the whole-experiment ``fakes``."""
     import repro.experiments.registry as registry
 
-    monkeypatch.setattr(registry, "EXPERIMENTS", fakes)
-    monkeypatch.setattr(exps, "EXPERIMENTS", fakes)
+    monkeypatch.setattr(registry, "EXPERIMENTS", {
+        exp_id: registry.one_point(exp_id, fn)
+        for exp_id, fn in fakes.items()})
 
 
 class TestCLIReport:

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from repro.experiments import ExperimentResult, registry
+from repro.experiments import ExperimentResult
 from repro.runner import JobOutcome, PoolExecutor, decompose
+from tests.conftest import register_experiment
 
 
 def _fake(exp_id, body=None):
@@ -27,7 +28,7 @@ def _fake(exp_id, body=None):
 def _register(monkeypatch, **fakes):
     jobs = []
     for exp_id, fn in fakes.items():
-        monkeypatch.setitem(registry.EXPERIMENTS, exp_id, fn)
+        register_experiment(monkeypatch, exp_id, whole=fn)
         jobs.extend(decompose(exp_id, quick=True))
     return jobs
 

@@ -6,9 +6,7 @@ import pytest
 
 from repro.experiments import ExperimentResult, registry
 from repro.runner import (
-    KIND_EXPERIMENT,
     KIND_POINT,
-    SWEEPS,
     JobSpec,
     assemble,
     decompose,
@@ -16,6 +14,12 @@ from repro.runner import (
     execute_job,
 )
 from repro.runner.keys import canonical_json, code_fingerprint, job_key
+from tests.conftest import register_experiment
+
+#: fig2's first quick point key, recorded before tables became one-point
+#: sweeps: figure keys must not move when the experiment model changes.
+FIG2_QUICK_KEY = \
+    "27358bf841a220851b7c1ecc07f21f80be451b08400980ee6d94aacfcf2f5022"
 
 
 class TestKeys:
@@ -35,7 +39,7 @@ class TestKeys:
     def test_key_varies_with_every_component(self):
         base = job_key("fig5", KIND_POINT, {"p": 4})
         assert job_key("fig6", KIND_POINT, {"p": 4}) != base
-        assert job_key("fig5", KIND_EXPERIMENT, {"p": 4}) != base
+        assert job_key("fig5", "experiment", {"p": 4}) != base
         assert job_key("fig5", KIND_POINT, {"p": 8}) != base
 
     def test_key_varies_with_code_fingerprint(self, monkeypatch):
@@ -47,18 +51,26 @@ class TestKeys:
         import repro
         assert repro.__version__ in code_fingerprint()
 
+    def test_figure_point_keys_did_not_move(self):
+        assert decompose("fig2", quick=True)[0].key == FIG2_QUICK_KEY
+
 
 class TestDecompose:
     def test_swept_experiment_one_job_per_point(self):
-        for exp_id, spec in SWEEPS.items():
+        for exp_id, exp in registry.EXPERIMENTS.items():
             jobs = decompose(exp_id, quick=True)
-            assert len(jobs) == len(spec.points(True))
+            assert len(jobs) == len(exp.points(True))
             assert all(j.kind == KIND_POINT for j in jobs)
 
     def test_table_experiment_is_single_job(self):
-        (job,) = decompose("table1", quick=True)
-        assert job.kind == KIND_EXPERIMENT
-        assert job.config == {"quick": True}
+        for exp_id in ("table1", "table4"):
+            (job,) = decompose(exp_id, quick=True)
+            assert job.job_id == f"{exp_id}#000"
+            assert job.kind == KIND_POINT
+            assert job.config == {"quick": True}
+            # Entries cached under the old whole-experiment kind are
+            # never served for the one-point sweep.
+            assert job.key != job_key(exp_id, "experiment", {"quick": True})
 
     def test_job_ids_are_stable_and_ordered(self):
         jobs = decompose("fig5", quick=True)
@@ -95,16 +107,18 @@ class TestExecuteAssemble:
             res.add_check("ok", True)
             return res
 
-        monkeypatch.setitem(registry.EXPERIMENTS, "zz", fake)
-        payload = execute_job("zz", KIND_EXPERIMENT, {"quick": True})
+        register_experiment(monkeypatch, "zz", whole=fake)
+        (job,) = decompose("zz", quick=True)
+        payload = execute_job("zz", job.kind, job.config)
         json.dumps(payload)  # must be wire-safe
         result = assemble("zz", [payload], quick=True)
         assert result == fake()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            execute_job("fig5", "bogus", {})
+        for kind in ("bogus", "experiment"):
+            with pytest.raises(ValueError, match="kind"):
+                execute_job("fig5", kind, {})
 
     def test_assemble_rejects_wrong_payload_count(self):
-        with pytest.raises(ValueError, match="table1"):
+        with pytest.raises(ValueError, match="expected 1"):
             assemble("table1", [{}, {}], quick=True)

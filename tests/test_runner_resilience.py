@@ -15,11 +15,12 @@ import time
 import pytest
 
 from repro.cli import build_parser
-from repro.experiments import ExperimentResult, registry
+from repro.experiments import ExperimentResult
 from repro.runner import PoolExecutor, ResultStore, decompose, \
     run_experiments
 from repro.runner.executor import RETRYABLE_STATUSES, backoff_delay
 from repro.runner.store import payload_checksum
+from tests.conftest import register_experiment
 
 KEY = "ee" + "4" * 62
 
@@ -74,7 +75,7 @@ def _hangs_once(exp_id, marker_dir):
 def _register(monkeypatch, **fakes):
     jobs = []
     for exp_id, fn in fakes.items():
-        monkeypatch.setitem(registry.EXPERIMENTS, exp_id, fn)
+        register_experiment(monkeypatch, exp_id, whole=fn)
         jobs.extend(decompose(exp_id, quick=True))
     return jobs
 

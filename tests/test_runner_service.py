@@ -9,45 +9,22 @@ from repro.experiments import ExperimentResult, registry
 from repro.runner import (
     ProgressTracker,
     ResultStore,
-    SweepSpec,
     run_cached,
     run_experiments,
 )
-from repro.runner import jobs as jobs_mod
 from repro.runner.keys import canonical_json
-
-
-def _fake_result(exp_id):
-    res = ExperimentResult(exp_id, "t", "ref")
-    res.add_check("ok", True)
-    return res
-
-
-def _register_fake(monkeypatch, exp_id, fn=None):
-    monkeypatch.setitem(registry.EXPERIMENTS, exp_id,
-                        fn or (lambda quick=False: _fake_result(exp_id)))
+from tests.conftest import register_experiment
 
 
 def _register_sweep(monkeypatch, exp_id, n_points=3, fail_on=()):
-    """Register a fake swept experiment with ``n_points`` point jobs."""
-    def points(quick):
-        return [{"i": i, "quick": bool(quick)} for i in range(n_points)]
-
+    """Register a toy swept experiment with ``n_points`` point jobs."""
     def run_point(point):
         if point["i"] in fail_on:
             raise RuntimeError(f"point {point['i']} exploded")
         return {**point, "y": point["i"] * 10.0}
 
-    def assemble(payloads, quick):
-        res = _fake_result(exp_id)
-        res.rows = sorted(payloads, key=lambda p: p["i"])
-        return res
-
-    _register_fake(monkeypatch, exp_id,
-                   lambda quick=False: assemble(
-                       [run_point(p) for p in points(quick)], quick))
-    monkeypatch.setitem(jobs_mod.SWEEPS, exp_id,
-                        SweepSpec(points, run_point, assemble))
+    register_experiment(monkeypatch, exp_id, run_point=run_point,
+                        n_points=n_points)
 
 
 class TestCacheLifecycle:
@@ -99,16 +76,18 @@ class TestCacheLifecycle:
 class TestFailureAndResume:
     def test_failed_point_fails_only_its_experiment(self, tmp_path,
                                                     monkeypatch):
+        _register_sweep(monkeypatch, "zz_first")
         _register_sweep(monkeypatch, "zz_bad", fail_on={1})
         _register_sweep(monkeypatch, "zz_ok")
         store = ResultStore(tmp_path / "c")
-        report = run_experiments(["zz_bad", "zz_ok"], quick=True,
-                                 store=store)
-        assert "zz_ok" in report.results
-        assert "zz_bad" not in report.results
+        report = run_experiments(["zz_first", "zz_bad", "zz_ok"],
+                                 quick=True, store=store)
+        # Experiments after the failure still ran, in request order.
+        assert list(report.results) == ["zz_first", "zz_ok"]
+        assert list(report.errors) == ["zz_bad"]
         assert "zz_bad#001" in report.errors["zz_bad"]
         assert "point 1 exploded" in report.errors["zz_bad"]
-        assert report.jobs_failed == 1 and report.jobs_computed == 5
+        assert report.jobs_failed == 1 and report.jobs_computed == 8
 
     def test_resume_recomputes_only_failed_jobs(self, tmp_path, monkeypatch):
         """Re-invoking after a partial failure redoes just the failed job."""
@@ -137,9 +116,11 @@ class TestFailureAndResume:
 
         def fn(quick=False):
             calls.append(1)
-            return _fake_result("zz_once")
+            res = ExperimentResult("zz_once", "t", "ref")
+            res.add_check("ok", True)
+            return res
 
-        _register_fake(monkeypatch, "zz_once", fn)
+        register_experiment(monkeypatch, "zz_once", whole=fn)
         store = ResultStore(tmp_path / "c")
         first = run_cached("zz_once", quick=True, store=store)
         second = run_cached("zz_once", quick=True, store=store)
@@ -180,9 +161,13 @@ class TestReportAndProgress:
 
     def test_exp_wall_time_accounted(self, tmp_path, monkeypatch):
         _register_sweep(monkeypatch, "zz_sweep")
-        report = run_experiments(["zz_sweep"], quick=True,
+        _register_sweep(monkeypatch, "zz_bad", fail_on={0})
+        report = run_experiments(["zz_sweep", "zz_bad"], quick=True,
                                  store=ResultStore(tmp_path / "c"))
-        assert report.exp_wall_s("zz_sweep") >= 0.0
+        # Failed experiments are timed too.
+        assert "zz_bad" in report.errors
+        for exp_id in ("zz_sweep", "zz_bad"):
+            assert report.exp_wall_s(exp_id) >= 0.0
         assert report.wall_s > 0.0
 
 
@@ -196,16 +181,20 @@ class TestDeterminismAndParity:
         assert canonical_json(first) == canonical_json(second)
 
     def test_parallel_runner_matches_serial_path(self, tmp_path):
-        """Pool execution reproduces the serial experiment bit-for-bit."""
-        serial = registry.run_experiment("fig7", quick=True)
-        report = run_experiments(["fig7"], quick=True, jobs=2,
+        """Pool execution reproduces the serial experiment bit-for-bit,
+        for swept figures and one-point tables alike."""
+        exp_ids = ["fig7", "table1", "table4"]
+        serial = {e: registry.run_experiment(e, quick=True)
+                  for e in exp_ids}
+        report = run_experiments(exp_ids, quick=True, jobs=2,
                                  store=ResultStore(tmp_path / "c"))
-        parallel = report.results["fig7"]
-        assert canonical_json(parallel.to_dict()) == \
-            canonical_json(serial.to_dict())
         # And the cached re-assembly is equal too.
-        again = run_experiments(["fig7"], quick=True,
+        again = run_experiments(exp_ids, quick=True,
                                 store=ResultStore(tmp_path / "c"))
         assert again.hit_rate == 1.0
-        assert canonical_json(again.results["fig7"].to_dict()) == \
-            canonical_json(serial.to_dict())
+        for exp_id in exp_ids:
+            expected = canonical_json(serial[exp_id].to_dict())
+            assert canonical_json(
+                report.results[exp_id].to_dict()) == expected
+            assert canonical_json(
+                again.results[exp_id].to_dict()) == expected

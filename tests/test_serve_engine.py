@@ -5,18 +5,10 @@ import time
 
 import pytest
 
-from repro.runner import jobs as jobs_mod
-from repro.runner.jobs import KIND_POINT, JobSpec, SweepSpec
+from repro.runner.jobs import KIND_POINT, JobSpec
 from repro.runner.store import ResultStore
 from repro.serve.engine import (EngineClosed, EngineSaturated, ServeEngine)
-
-
-def _install_sweep(monkeypatch, exp_id, run_point):
-    """Register just enough of a sweep for execute_job to find it."""
-    monkeypatch.setitem(
-        jobs_mod.SWEEPS, exp_id,
-        SweepSpec(lambda quick: [], run_point,
-                  lambda payloads, quick: None))
+from tests.conftest import register_experiment
 
 
 def _job(exp_id, i=0, **extra):
@@ -41,7 +33,7 @@ def store(tmp_path):
 class TestCachePath:
     def test_miss_computes_and_stores(self, monkeypatch, store):
         calls = []
-        _install_sweep(monkeypatch, "zz_eng",
+        register_experiment(monkeypatch, "zz_eng",
                        lambda p: (calls.append(dict(p)) or {**p, "y": 1}))
         with ServeEngine(store=store) as engine:
             out = engine.run_job(_job("zz_eng"))
@@ -56,7 +48,7 @@ class TestCachePath:
             assert calls == [{"i": 0}]   # no recomputation
 
     def test_cache_hit_skips_executor(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_eng", lambda p: {**p, "y": 2})
+        register_experiment(monkeypatch, "zz_eng", lambda p: {**p, "y": 2})
         with ServeEngine(store=store) as engine:
             engine.run_job(_job("zz_eng"))
             assert engine.jobs_executed == 1
@@ -68,7 +60,7 @@ class TestCachePath:
 
     def test_no_store_recomputes_every_time(self, monkeypatch):
         calls = []
-        _install_sweep(monkeypatch, "zz_eng",
+        register_experiment(monkeypatch, "zz_eng",
                        lambda p: (calls.append(1) or {**p}))
         with ServeEngine(store=None) as engine:
             engine.run_job(_job("zz_eng"))
@@ -87,7 +79,7 @@ class TestSingleFlight:
             assert gate.wait(10)
             return {**point, "y": 42}
 
-        _install_sweep(monkeypatch, "zz_sf", run_point)
+        register_experiment(monkeypatch, "zz_sf", run_point)
         with ServeEngine(store=store, dispatchers=4) as engine:
             tickets = [engine.submit(_job("zz_sf")) for _ in range(5)]
             assert _wait_until(lambda: len(calls) == 1)
@@ -102,7 +94,7 @@ class TestSingleFlight:
 
     def test_ticket_source_reflects_coalescing(self, monkeypatch, store):
         gate = threading.Event()
-        _install_sweep(monkeypatch, "zz_sf",
+        register_experiment(monkeypatch, "zz_sf",
                        lambda p: (gate.wait(10) and {**p}) or {**p})
         with ServeEngine(store=store) as engine:
             first = engine.submit(_job("zz_sf"))
@@ -113,7 +105,7 @@ class TestSingleFlight:
             assert second.source(out2) == "coalesced"
 
     def test_distinct_configs_do_not_coalesce(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_sf", lambda p: {**p})
+        register_experiment(monkeypatch, "zz_sf", lambda p: {**p})
         with ServeEngine(store=store, dispatchers=2) as engine:
             a = engine.run_job(_job("zz_sf", 0))
             b = engine.run_job(_job("zz_sf", 1))
@@ -123,7 +115,7 @@ class TestSingleFlight:
 
     def test_after_completion_next_request_hits_cache(self, monkeypatch,
                                                       store):
-        _install_sweep(monkeypatch, "zz_sf", lambda p: {**p, "y": 3})
+        register_experiment(monkeypatch, "zz_sf", lambda p: {**p, "y": 3})
         with ServeEngine(store=store) as engine:
             engine.run_job(_job("zz_sf"))
             out = engine.run_job(_job("zz_sf"))
@@ -134,7 +126,7 @@ class TestSaturationAndFailure:
     def test_bounded_queue_raises_engine_saturated(self, monkeypatch,
                                                    store):
         gate = threading.Event()
-        _install_sweep(monkeypatch, "zz_sat",
+        register_experiment(monkeypatch, "zz_sat",
                        lambda p: (gate.wait(10) and {**p}) or {**p})
         engine = ServeEngine(store=store, dispatchers=1, max_queue=1,
                              retry_after_s=3.0)
@@ -162,7 +154,7 @@ class TestSaturationAndFailure:
         def run_point(point):
             raise RuntimeError("point exploded")
 
-        _install_sweep(monkeypatch, "zz_bad", run_point)
+        register_experiment(monkeypatch, "zz_bad", run_point)
         with ServeEngine(store=store) as engine:
             out = engine.run_job(_job("zz_bad"))
             assert not out.ok and out.status == "failed"
@@ -178,7 +170,7 @@ class TestSaturationAndFailure:
                 raise RuntimeError("transient")
             return {**point, "y": 9}
 
-        _install_sweep(monkeypatch, "zz_flaky", run_point)
+        register_experiment(monkeypatch, "zz_flaky", run_point)
         with ServeEngine(store=store) as engine:
             assert not engine.run_job(_job("zz_flaky")).ok
             flaky["fail"] = False
@@ -192,7 +184,7 @@ class TestDispatcherRobustness:
                                                           store):
         """A bug anywhere in the per-job path must resolve the future
         as failed and un-publish the key -- not kill the dispatcher."""
-        _install_sweep(monkeypatch, "zz_rob", lambda p: {**p, "y": 1})
+        register_experiment(monkeypatch, "zz_rob", lambda p: {**p, "y": 1})
         with ServeEngine(store=store, dispatchers=1) as engine:
             real_execute = engine._execute
             boom = {"on": True}
@@ -217,7 +209,7 @@ class TestDispatcherRobustness:
                                                       store):
         """json can't encode a set: store.put raises TypeError, which
         must not kill the dispatcher -- the payload is still served."""
-        _install_sweep(monkeypatch, "zz_ser",
+        register_experiment(monkeypatch, "zz_ser",
                        lambda p: {**p, "y": {1, 2}})
         with ServeEngine(store=store, dispatchers=1) as engine:
             out = engine.run_job(_job("zz_ser"), timeout=10)
@@ -229,14 +221,14 @@ class TestDispatcherRobustness:
 
 class TestLifecycle:
     def test_submit_after_close_raises(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_cl", lambda p: {**p})
+        register_experiment(monkeypatch, "zz_cl", lambda p: {**p})
         engine = ServeEngine(store=store)
         engine.close()
         with pytest.raises(EngineClosed):
             engine.submit(_job("zz_cl"))
 
     def test_close_finishes_queued_work(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_cl",
+        register_experiment(monkeypatch, "zz_cl",
                        lambda p: (time.sleep(0.02) or {**p, "y": 5}))
         engine = ServeEngine(store=store, dispatchers=1, max_queue=8)
         tickets = [engine.submit(_job("zz_cl", i)) for i in range(4)]
@@ -245,7 +237,7 @@ class TestLifecycle:
         assert all(o.ok for o in outs)
 
     def test_drain_waits_for_idle(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_dr",
+        register_experiment(monkeypatch, "zz_dr",
                        lambda p: (time.sleep(0.05) or {**p}))
         with ServeEngine(store=store) as engine:
             engine.submit(_job("zz_dr"))
@@ -254,7 +246,7 @@ class TestLifecycle:
             assert engine.queue_depth == 0
 
     def test_queue_depth_gauge_returns_to_zero(self, monkeypatch, store):
-        _install_sweep(monkeypatch, "zz_g", lambda p: {**p})
+        register_experiment(monkeypatch, "zz_g", lambda p: {**p})
         with ServeEngine(store=store) as engine:
             engine.run_job(_job("zz_g"))
             engine.drain(timeout=10)

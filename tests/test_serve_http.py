@@ -2,7 +2,7 @@
 
 Each test boots the full serving stack (:class:`ServerThread` on an
 ephemeral port) against toy experiments registered into the live
-registry/sweep tables, and talks to it with the stdlib
+registry, and talks to it with the stdlib
 :class:`ServeClient` — the same path the CI smoke job and the
 throughput benchmark use.
 
@@ -24,39 +24,14 @@ import time
 
 import pytest
 
-from repro.experiments import ExperimentResult, registry
-from repro.runner import jobs as jobs_mod
-from repro.runner.jobs import KIND_POINT, JobSpec, SweepSpec
+from repro.experiments import registry
+from repro.runner.jobs import KIND_POINT, JobSpec
 from repro.serve import (AdmissionController, MetricsRegistry, ServeApp,
                          ServeClient, ServeEngine, ServeHTTPError,
                          ServerThread)
+from tests.conftest import register_experiment
 
 N_POINTS = 3
-
-
-def _register_toy(monkeypatch, exp_id, run_point=None, n_points=N_POINTS):
-    """A sweep-decomposable toy experiment in the live registry."""
-    def points(quick):
-        return [{"i": i, "quick": bool(quick)} for i in range(n_points)]
-
-    def default_run_point(point):
-        return {**point, "y": point["i"] * 10.0}
-
-    run_point = run_point or default_run_point
-
-    def assemble(payloads, quick):
-        res = ExperimentResult(exp_id, "toy", "ref")
-        res.rows = sorted(payloads, key=lambda p: p["i"])
-        res.add_check("ok", True)
-        return res
-
-    def whole(quick=False):
-        return assemble([run_point(p) for p in points(quick)], quick)
-
-    whole.__doc__ = "Toy serving experiment."
-    monkeypatch.setitem(registry.EXPERIMENTS, exp_id, whole)
-    monkeypatch.setitem(jobs_mod.SWEEPS, exp_id,
-                        SweepSpec(points, run_point, assemble))
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -71,7 +46,7 @@ def _wait_until(predicate, timeout=5.0):
 @pytest.fixture
 def server(monkeypatch):
     """A started server over a default app; yields (thread, client)."""
-    _register_toy(monkeypatch, "zz_http")
+    register_experiment(monkeypatch, "zz_http")
     with ServerThread(ServeApp(request_timeout_s=30.0)) as srv:
         yield srv, ServeClient(srv.base_url, timeout_s=30.0)
 
@@ -138,10 +113,15 @@ class TestExperimentRoutes:
     def test_listing_includes_sweep_shape(self, server):
         _, client = server
         listing = {e["id"]: e for e in client.experiments()}
-        assert listing["zz_http"]["sweep"] is True
+        assert set(listing["zz_http"]) == {"id", "title", "points_quick",
+                                           "points_full"}
+        assert listing["zz_http"]["title"] == "toy"
         assert listing["zz_http"]["points_quick"] == N_POINTS
-        assert listing["fig2"]["sweep"] is True
-        assert listing["table1"]["sweep"] is False
+        assert listing["fig2"]["title"].startswith("Figure 2:")
+        assert listing["fig2"]["points_quick"] == 12
+        # Tables are one-point sweeps at either scale.
+        assert listing["table1"]["points_quick"] == 1
+        assert listing["table1"]["points_full"] == 1
 
     def test_get_experiment_computes_then_hits_cache(self, server):
         _, client = server
@@ -185,13 +165,32 @@ class TestExperimentRoutes:
         assert second["payload"] == first["payload"]
         assert second["key"] == first["key"]
 
+    def test_table_point_returns_table_payload(self, server):
+        """A table is a one-point sweep: its point is the whole table,
+        under the same key the runner caches it by."""
+        from repro.runner.jobs import decompose
+        from repro.runner.keys import canonical_json
+
+        _, client = server
+        resp = client.request("POST", "/v1/points", {
+            "exp_id": "table1", "config": {"quick": True}})
+        assert resp["kind"] == KIND_POINT
+        (job,) = decompose("table1", quick=True)
+        assert resp["key"] == job.key
+        assert canonical_json(resp["payload"]) == canonical_json(
+            registry.run_experiment("table1", quick=True).to_dict())
+
     def test_point_validation_errors(self, server):
         _, client = server
         with pytest.raises(ServeHTTPError) as exc:
             client.run_point("fig99", {})
         assert exc.value.status == 404
         with pytest.raises(ServeHTTPError) as exc:
-            client.run_point("table1", {}, kind="point")
+            client.run_point("zz_http", {"i": 0}, kind="experiment")
+        assert exc.value.status == 400
+        assert "kind must be 'point'" in exc.value.message
+        with pytest.raises(ServeHTTPError) as exc:
+            client.request("POST", "/v1/points", {"exp_id": 3})
         assert exc.value.status == 400
         with pytest.raises(ServeHTTPError) as exc:
             client.request("POST", "/v1/points", {"exp_id": "zz_http",
@@ -212,7 +211,7 @@ class TestExperimentRoutes:
         def run_point(point):
             raise RuntimeError("sim blew up")
 
-        _register_toy(monkeypatch, "zz_boom", run_point=run_point)
+        register_experiment(monkeypatch, "zz_boom", run_point=run_point)
         with ServerThread() as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
             with pytest.raises(ServeHTTPError) as exc:
@@ -236,7 +235,7 @@ class TestSingleFlightOverHTTP:
             assert gate.wait(15)
             return {**point, "y": 1234.5}
 
-        _register_toy(monkeypatch, "zz_sf", run_point=run_point)
+        register_experiment(monkeypatch, "zz_sf", run_point=run_point)
         with ServerThread() as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
             responses = []
@@ -283,7 +282,7 @@ class TestSingleFlightOverHTTP:
             assert gate.wait(15)
             return {**point, "y": 0.0}
 
-        _register_toy(monkeypatch, "zz_exp", run_point=run_point)
+        register_experiment(monkeypatch, "zz_exp", run_point=run_point)
         app = ServeApp(engine=ServeEngine(dispatchers=4))
         with ServerThread(app) as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
@@ -317,7 +316,7 @@ class TestAdmissionOverHTTP:
             assert gate.wait(15)
             return {**point, "y": 0.0}
 
-        _register_toy(monkeypatch, "zz_adm", run_point=run_point)
+        register_experiment(monkeypatch, "zz_adm", run_point=run_point)
         metrics = MetricsRegistry()
         app = ServeApp(
             engine=ServeEngine(metrics=metrics),
@@ -358,7 +357,7 @@ class TestAdmissionOverHTTP:
             assert gate.wait(15)
             return {**point}
 
-        _register_toy(monkeypatch, "zz_q", run_point=run_point)
+        register_experiment(monkeypatch, "zz_q", run_point=run_point)
         metrics = MetricsRegistry()
         app = ServeApp(
             engine=ServeEngine(dispatchers=1, max_queue=1,
@@ -398,7 +397,7 @@ class TestAdmissionOverHTTP:
             assert gate.wait(15)
             return {**point}
 
-        _register_toy(monkeypatch, "zz_to", run_point=run_point)
+        register_experiment(monkeypatch, "zz_to", run_point=run_point)
         app = ServeApp(request_timeout_s=0.2)
         with ServerThread(app) as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
@@ -419,7 +418,7 @@ class TestAdmissionOverHTTP:
             assert gate.wait(15)
             return {**point, "y": 7.0}
 
-        _register_toy(monkeypatch, "zz_shield", run_point=run_point)
+        register_experiment(monkeypatch, "zz_shield", run_point=run_point)
         app = ServeApp(request_timeout_s=0.3)
         with ServerThread(app) as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
@@ -451,7 +450,7 @@ class TestAdmissionOverHTTP:
             assert gate.wait(15)
             return {**point, "y": 0.0}
 
-        _register_toy(monkeypatch, "zz_gsh", run_point=run_point)
+        register_experiment(monkeypatch, "zz_gsh", run_point=run_point)
         app = ServeApp(request_timeout_s=0.3)
         try:
             async def scenario():

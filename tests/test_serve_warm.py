@@ -5,36 +5,17 @@ import io
 import pytest
 
 from repro import cli
-from repro.experiments import ExperimentResult, registry
-from repro.runner import jobs as jobs_mod
-from repro.runner.jobs import SweepSpec, decompose
+from repro.runner.jobs import decompose
 from repro.runner.store import ResultStore
 from repro.serve.engine import ServeEngine
 from repro.serve.warm import WarmReport, warm
-
-
-def _register_toy(monkeypatch, exp_id, run_point=None, n_points=3):
-    def points(quick):
-        return [{"i": i, "quick": bool(quick)} for i in range(n_points)]
-
-    run_point = run_point or (lambda p: {**p, "y": p["i"]})
-
-    def assemble(payloads, quick):
-        res = ExperimentResult(exp_id, "toy", "ref")
-        res.rows = sorted(payloads, key=lambda p: p["i"])
-        return res
-
-    monkeypatch.setitem(registry.EXPERIMENTS, exp_id,
-                        lambda quick=False: assemble(
-                            [run_point(p) for p in points(quick)], quick))
-    monkeypatch.setitem(jobs_mod.SWEEPS, exp_id,
-                        SweepSpec(points, run_point, assemble))
+from tests.conftest import register_experiment
 
 
 class TestWarm:
     def test_cold_then_warm_pass(self, monkeypatch, tmp_path):
         calls = []
-        _register_toy(monkeypatch, "zz_w",
+        register_experiment(monkeypatch, "zz_w",
                       run_point=lambda p: (calls.append(1) or {**p}))
         store = ResultStore(tmp_path / "cache")
         with ServeEngine(store=store) as engine:
@@ -48,7 +29,7 @@ class TestWarm:
         assert len(calls) == 3   # idempotent: nothing recomputed
 
     def test_scales_warm_independently(self, monkeypatch, tmp_path):
-        _register_toy(monkeypatch, "zz_w")
+        register_experiment(monkeypatch, "zz_w")
         store = ResultStore(tmp_path / "cache")
         with ServeEngine(store=store) as engine:
             warm(["zz_w"], quick=True, engine=engine)
@@ -57,7 +38,7 @@ class TestWarm:
 
     def test_unknown_experiment_raises_before_work(self, monkeypatch):
         calls = []
-        _register_toy(monkeypatch, "zz_w",
+        register_experiment(monkeypatch, "zz_w",
                       run_point=lambda p: (calls.append(1) or {**p}))
         with pytest.raises(KeyError, match="zz_nope"):
             warm(["zz_w", "zz_nope"])
@@ -69,7 +50,7 @@ class TestWarm:
                 raise RuntimeError("boom")
             return {**point}
 
-        _register_toy(monkeypatch, "zz_wf", run_point=run_point)
+        register_experiment(monkeypatch, "zz_wf", run_point=run_point)
         with ServeEngine(store=ResultStore(tmp_path / "c")) as engine:
             report = warm(["zz_wf"], engine=engine)
         assert report.per_exp["zz_wf"]["failed"] == 1
@@ -77,20 +58,20 @@ class TestWarm:
         assert "FAILED" in report.summary_text()
 
     def test_stream_progress_lines(self, monkeypatch, tmp_path):
-        _register_toy(monkeypatch, "zz_w")
+        register_experiment(monkeypatch, "zz_w")
         out = io.StringIO()
         with ServeEngine(store=ResultStore(tmp_path / "c")) as engine:
             warm(["zz_w"], engine=engine, stream=out)
         assert "warm zz_w: 3 job(s)" in out.getvalue()
 
     def test_private_engine_closed_after_warm(self, monkeypatch):
-        _register_toy(monkeypatch, "zz_w")
+        register_experiment(monkeypatch, "zz_w")
         report = warm(["zz_w"])
         assert report.ok and report.jobs == 3
 
     def test_warm_populates_store_for_runner(self, monkeypatch, tmp_path):
         """Jobs warmed through serve are cache hits for direct lookups."""
-        _register_toy(monkeypatch, "zz_w")
+        register_experiment(monkeypatch, "zz_w")
         store = ResultStore(tmp_path / "cache")
         with ServeEngine(store=store) as engine:
             warm(["zz_w"], quick=True, engine=engine)
@@ -101,7 +82,7 @@ class TestWarm:
 
 class TestWarmCLI:
     def test_repro_warm_exit_codes(self, monkeypatch, capsys):
-        _register_toy(monkeypatch, "zz_cli")
+        register_experiment(monkeypatch, "zz_cli")
         assert cli.main(["warm", "zz_cli", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "3 computed" in out
@@ -116,7 +97,7 @@ class TestWarmCLI:
         def run_point(point):
             raise RuntimeError("boom")
 
-        _register_toy(monkeypatch, "zz_bad", run_point=run_point)
+        register_experiment(monkeypatch, "zz_bad", run_point=run_point)
         assert cli.main(["warm", "zz_bad", "--quick"]) == 1
 
 
