@@ -7,10 +7,11 @@ the result; the registry pairs the three into one ``Experiment``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.apps.btio import BTIOConfig, run_btio
 from repro.experiments.results import ExperimentResult, Series
+from repro.experiments.shared import shared
 from repro.machine.presets import sp2
 
 __all__ = ["fig6_points", "fig6_run_point", "fig6_assemble",
@@ -22,10 +23,22 @@ _MB = 1024 * 1024
 _FIG6_VARIANTS = [("unoptimized", "unopt"), ("collective", "collective")]
 
 
-def _run(class_name: str, version: str, p: int, dumps: int):
+class BTIORun(NamedTuple):
+    """What Figures 6 and 7 read from one BTIO run."""
+
+    io_time: float
+    exec_time: float
+    bw: float             # MB/s over the run's whole I/O volume
+
+
+@shared
+def _run(class_name: str, version: str, p: int, dumps: int) -> BTIORun:
+    """Simulate one BTIO run; Figures 6 and 7 share identical runs."""
     config = BTIOConfig(class_name=class_name, version=version,
                         measured_dumps=dumps)
-    return config, run_btio(sp2(n_compute=max(p, 4)), config, p)
+    res = run_btio(sp2(n_compute=max(p, 4)), config, p)
+    return BTIORun(res.io_time, res.exec_time,
+                   res.bandwidth_mb_s(config.total_io_bytes))
 
 
 def _fig6_params(quick: bool) -> Tuple[List[int], int]:
@@ -44,9 +57,8 @@ def fig6_points(quick: bool = False) -> List[dict]:
 
 def fig6_run_point(point: dict) -> dict:
     """Simulate one Figure-6 configuration; returns a JSON-able payload."""
-    _, res = _run(point["class"], point["version"], point["p"],
-                  point["dumps"])
-    return {**point, "io_time": res.io_time, "exec_time": res.exec_time}
+    run = _run(point["class"], point["version"], point["p"], point["dumps"])
+    return {**point, "io_time": run.io_time, "exec_time": run.exec_time}
 
 
 def fig6_assemble(point_results: Sequence[dict],
@@ -128,9 +140,8 @@ def fig7_points(quick: bool = False) -> List[dict]:
 
 def fig7_run_point(point: dict) -> dict:
     """Simulate one Figure-7 configuration; returns a JSON-able payload."""
-    config, res = _run(point["class"], point["version"], point["p"],
-                       point["dumps"])
-    return {**point, "bw": res.bandwidth_mb_s(config.total_io_bytes)}
+    run = _run(point["class"], point["version"], point["p"], point["dumps"])
+    return {**point, "bw": run.bw}
 
 
 def fig7_assemble(point_results: Sequence[dict],

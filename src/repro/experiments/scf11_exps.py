@@ -10,13 +10,14 @@ and are registered as one-point sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps.scf11 import SCF11Config, SCF11_INPUTS, run_scf11
 from repro.experiments.results import ExperimentResult, Series
+from repro.experiments.shared import shared
 from repro.machine.params import KB
 from repro.machine.presets import paragon_large
-from repro.trace import IOOp, summarize
+from repro.trace import IOOp, IOSummary, summarize
 
 __all__ = ["ConfigTuple", "FIG1_TUPLES", "run_tuple", "table2", "table3",
            "fig1_points", "fig1_run_point", "fig1_assemble",
@@ -70,14 +71,16 @@ def run_tuple(tup: ConfigTuple, n_basis: int,
     return run_scf11(machine, config, tup.n_procs)
 
 
-def _summary_table(version: str, measured_read_iters: int):
+@shared
+def _summary_table(version: str,
+                   measured_read_iters: int) -> Tuple[float, IOSummary]:
+    """Exec time and I/O summary of one LARGE/P=4 run (Tables 2 and 3)."""
     config = SCF11Config(n_basis=SCF11_INPUTS["LARGE"], version=version,
                          measured_read_iters=measured_read_iters)
     result = run_scf11(paragon_large(n_compute=4, n_io=12), config, 4)
     # The paper's tables aggregate per-op times over all 4 processors
     # against the (wall) execution time.
-    summary = summarize(result.trace, result.exec_time * 4)
-    return result, summary
+    return result.exec_time, summarize(result.trace, result.exec_time * 4)
 
 
 #: Paper values for shape checks: (reads, read GB, read % of I/O time).
@@ -91,7 +94,7 @@ _TABLE3_PAPER = dict(reads=566_330, read_gb=37.0, read_pct=95.38,
 def table2(quick: bool = False) -> ExperimentResult:
     """Table 2: I/O summary of the original SCF 1.1, LARGE, 4 procs."""
     miters = 1 if quick else 3
-    result, summary = _summary_table("original", miters)
+    exec_time, summary = _summary_table("original", miters)
     exp = ExperimentResult(
         exp_id="table2",
         title="SCF 1.1 original version I/O summary (LARGE, 4 procs)",
@@ -103,7 +106,7 @@ def table2(quick: bool = False) -> ExperimentResult:
     exp.rows.append({"reads": rd.count,
                      "read_time_s": round(rd.time_s, 1),
                      "read_gb": round(rd.volume_gb, 1),
-                     "exec_s": round(result.exec_time, 1)})
+                     "exec_s": round(exec_time, 1)})
     exp.add_check("read op count within 15% of paper",
                   abs(rd.count - _TABLE2_PAPER["reads"])
                   / _TABLE2_PAPER["reads"] < 0.15)
@@ -118,8 +121,8 @@ def table2(quick: bool = False) -> ExperimentResult:
 def table3(quick: bool = False) -> ExperimentResult:
     """Table 3: I/O summary of the PASSION SCF 1.1, LARGE, 4 procs."""
     miters = 1 if quick else 3
-    orig_result, orig_summary = _summary_table("original", miters)
-    pas_result, pas_summary = _summary_table("passion", miters)
+    _, orig_summary = _summary_table("original", miters)
+    _, pas_summary = _summary_table("passion", miters)
     exp = ExperimentResult(
         exp_id="table3",
         title="SCF 1.1 PASSION version I/O summary (LARGE, 4 procs)",
@@ -222,6 +225,24 @@ _FIG2_VARIANTS = [("unopt 16io", "original", 16),
                   ("opt 64io", "prefetch", 64)]
 
 
+class SCFRun(NamedTuple):
+    """What Figures 2 and 3 read from one SCF 1.1 run."""
+
+    exec_time: float
+    io_time: float
+
+
+@shared
+def _scaling_run(n_basis: int, version: str, n_io: int, p: int,
+                 measured_read_iters: int) -> SCFRun:
+    """Simulate one Figure-2/3 run; the figures share identical runs."""
+    config = SCF11Config(n_basis=n_basis, version=version,
+                         measured_read_iters=measured_read_iters)
+    res = run_scf11(paragon_large(n_compute=max(p, 4), n_io=n_io),
+                    config, p)
+    return SCFRun(res.exec_time, res.io_time)
+
+
 def _fig2_params(quick: bool) -> Tuple[int, List[int], int]:
     n_basis = SCF11_INPUTS["MEDIUM" if quick else "LARGE"]
     procs = [4, 16, 64] if quick else [4, 16, 64, 128, 256]
@@ -239,12 +260,9 @@ def fig2_points(quick: bool = False) -> List[dict]:
 
 def fig2_run_point(point: dict) -> dict:
     """Simulate one Figure-2 configuration; returns a JSON-able payload."""
-    config = SCF11Config(n_basis=point["n_basis"], version=point["version"],
-                         measured_read_iters=point["measured_read_iters"])
-    res = run_scf11(paragon_large(n_compute=max(point["p"], 4),
-                                  n_io=point["n_io"]),
-                    config, point["p"])
-    return {**point, "exec_time": res.exec_time}
+    run = _scaling_run(point["n_basis"], point["version"], point["n_io"],
+                       point["p"], point["measured_read_iters"])
+    return {**point, "exec_time": run.exec_time}
 
 
 def fig2_assemble(point_results: Sequence[dict],
@@ -317,12 +335,9 @@ def fig3_points(quick: bool = False) -> List[dict]:
 
 def fig3_run_point(point: dict) -> dict:
     """Simulate one Figure-3 configuration; returns a JSON-able payload."""
-    config = SCF11Config(n_basis=point["n_basis"], version="original",
-                         measured_read_iters=point["measured_read_iters"])
-    res = run_scf11(paragon_large(n_compute=max(point["p"], 4),
-                                  n_io=point["n_io"]),
-                    config, point["p"])
-    return {**point, "io_time": res.io_time}
+    run = _scaling_run(point["n_basis"], "original", point["n_io"],
+                       point["p"], point["measured_read_iters"])
+    return {**point, "io_time": run.io_time}
 
 
 def fig3_assemble(point_results: Sequence[dict],

@@ -25,7 +25,7 @@ from repro.runner.jobs import (
 )
 from repro.runner.keys import canonical_json, code_fingerprint, job_key
 from repro.runner.progress import ProgressTracker, render_summary_table
-from repro.runner.service import RunReport, run_cached, run_experiments
+from repro.runner.service import RunReport, run_experiments
 from repro.runner.store import DEFAULT_ROOT, CacheStats, ResultStore
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "ProgressTracker",
     "render_summary_table",
     "RunReport",
-    "run_cached",
     "run_experiments",
     "DEFAULT_ROOT",
     "CacheStats",

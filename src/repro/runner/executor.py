@@ -29,6 +29,12 @@ The pool uses the ``fork`` start method where available (Linux), which
 keeps in-process registry modifications — e.g. experiments registered by
 tests — visible to workers.  ``jobs <= 1`` executes inline in the parent
 (no isolation, no timeout) for debugging and determinism checks.
+
+Each ``run`` call is one :func:`~repro.experiments.shared.shared_runs`
+scope — around the inline job loop, and around each pool worker's job
+loop — so jobs that view the same simulator run (Figure 7 and Figure 6,
+say) simulate it once per worker.  A job served that way reports an
+``elapsed_s`` near zero.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.experiments.shared import shared_runs
 from repro.runner.jobs import JobSpec, execute_job
 
 __all__ = ["JobOutcome", "PoolExecutor", "RETRYABLE_STATUSES",
@@ -105,6 +112,11 @@ def _worker_main(worker_id: int, task_q, result_q,
             faulthandler.enable(file=blackbox)
         except OSError:
             blackbox = None
+    with shared_runs():
+        _worker_loop(worker_id, task_q, result_q, blackbox)
+
+
+def _worker_loop(worker_id: int, task_q, result_q, blackbox) -> None:
     while True:
         item = task_q.get()
         if item is None:
@@ -196,7 +208,8 @@ class PoolExecutor:
         if not jobs:
             return []
         if self.n_workers <= 1:
-            return [self._run_inline(job, on_outcome) for job in jobs]
+            with shared_runs():
+                return [self._run_inline(job, on_outcome) for job in jobs]
         by_id = self._run_pool(jobs, on_outcome)
         return [by_id[job.job_id] for job in jobs]
 

@@ -26,7 +26,7 @@ from repro.runner.jobs import JobSpec, assemble, decompose_many
 from repro.runner.progress import ProgressTracker, render_summary_table
 from repro.runner.store import CacheStats, ResultStore
 
-__all__ = ["RunReport", "run_experiments", "run_cached"]
+__all__ = ["RunReport", "run_experiments"]
 
 
 @dataclass
@@ -239,15 +239,3 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
             pass
     return report
 
-
-def run_cached(exp_id: str, quick: bool = False,
-               store: Optional[ResultStore] = None) -> ExperimentResult:
-    """Run one experiment through the cache; raises if any job failed.
-
-    The benchmark harness uses this so repeated invocations reuse the
-    stored simulations.
-    """
-    report = run_experiments([exp_id], quick=quick, jobs=1, store=store)
-    if exp_id in report.errors:
-        raise RuntimeError(f"{exp_id}: {report.errors[exp_id]}")
-    return report.results[exp_id]

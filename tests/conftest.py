@@ -117,6 +117,22 @@ def register_experiment(monkeypatch, exp_id, run_point=None, n_points=3,
     return exp
 
 
+def count_btio_runs(monkeypatch):
+    """Record ``(version, P)`` of every BTIO simulation the experiment
+    helpers start in this process; returns the live list."""
+    from repro.experiments import btio_exps
+
+    calls = []
+    real = btio_exps.run_btio
+
+    def counting(machine, config, p):
+        calls.append((config.version, p))
+        return real(machine, config, p)
+
+    monkeypatch.setattr(btio_exps, "run_btio", counting)
+    return calls
+
+
 def run_proc(machine_or_env, gen, name=None):
     """Run a single generator process to completion, returning its value."""
     env = getattr(machine_or_env, "env", machine_or_env)

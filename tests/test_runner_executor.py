@@ -6,13 +6,16 @@ them, so jobs can cross the process boundary as plain data.
 """
 
 import os
+import threading
 import time
 
 import pytest
 
-from repro.experiments import ExperimentResult
+from repro.experiments import ExperimentResult, btio_exps, registry
+from repro.experiments.shared import shared_runs
 from repro.runner import JobOutcome, PoolExecutor, decompose
-from tests.conftest import register_experiment
+from repro.sim.diff import kernel
+from tests.conftest import count_btio_runs, register_experiment
 
 
 def _fake(exp_id, body=None):
@@ -113,3 +116,44 @@ class TestPool:
                          zz_nap=_fake("zz_nap", lambda: time.sleep(0.2)))
         (out,) = PoolExecutor(jobs=2).run(jobs)
         assert out.ok and out.elapsed_s >= 0.2
+
+
+class TestSharedRunScope:
+    """Each ``run`` call is one shared-run scope; nothing outlives it."""
+
+    def test_scope_ends_with_run(self, monkeypatch):
+        calls = count_btio_runs(monkeypatch)
+        job = decompose("fig6", quick=True)[3]      # collective, P=4
+        executor = PoolExecutor(jobs=1)
+        first, second = executor.run([job, job])
+        assert len(calls) == 1 and first.payload == second.payload
+        (third,) = executor.run([job])
+        assert len(calls) == 2 and third.payload == first.payload
+
+    def test_direct_path_simulates_every_time(self, monkeypatch):
+        calls = count_btio_runs(monkeypatch)
+        first = registry.run_experiment("fig7", quick=True)
+        second = registry.run_experiment("fig7", quick=True)
+        assert len(calls) == 8
+        assert first.to_dict() == second.to_dict()
+
+    def test_kernels_never_share(self, monkeypatch):
+        calls = count_btio_runs(monkeypatch)
+        with shared_runs():
+            with kernel(fast=False):
+                reference = btio_exps._run("A", "collective", 4, 1)
+            fast = btio_exps._run("A", "collective", 4, 1)
+            again = btio_exps._run("A", "collective", 4, 1)
+        assert len(calls) == 2
+        assert reference == fast == again
+
+    def test_scope_is_per_thread(self, monkeypatch):
+        calls = count_btio_runs(monkeypatch)
+        with shared_runs():
+            btio_exps._run("A", "collective", 4, 1)
+            other = threading.Thread(
+                target=btio_exps._run, args=("A", "collective", 4, 1))
+            other.start()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert len(calls) == 2

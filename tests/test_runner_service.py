@@ -5,15 +5,14 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentResult, registry
+from repro.experiments import registry
 from repro.runner import (
     ProgressTracker,
     ResultStore,
-    run_cached,
     run_experiments,
 )
 from repro.runner.keys import canonical_json
-from tests.conftest import register_experiment
+from tests.conftest import count_btio_runs, register_experiment
 
 
 def _register_sweep(monkeypatch, exp_id, n_points=3, fail_on=()):
@@ -104,29 +103,6 @@ class TestFailureAndResume:
         assert second.results["zz_flaky"].rows == [
             {"i": i, "quick": True, "y": i * 10.0} for i in range(3)]
 
-    def test_run_cached_raises_on_failure(self, tmp_path, monkeypatch):
-        _register_sweep(monkeypatch, "zz_bad", fail_on={0})
-        with pytest.raises(RuntimeError, match="zz_bad"):
-            run_cached("zz_bad", quick=True,
-                       store=ResultStore(tmp_path / "c"))
-
-    def test_run_cached_returns_result_and_reuses_store(self, tmp_path,
-                                                        monkeypatch):
-        calls = []
-
-        def fn(quick=False):
-            calls.append(1)
-            res = ExperimentResult("zz_once", "t", "ref")
-            res.add_check("ok", True)
-            return res
-
-        register_experiment(monkeypatch, "zz_once", whole=fn)
-        store = ResultStore(tmp_path / "c")
-        first = run_cached("zz_once", quick=True, store=store)
-        second = run_cached("zz_once", quick=True, store=store)
-        assert first == second
-        assert len(calls) == 1
-
 
 class TestReportAndProgress:
     def test_summary_text_shape(self, tmp_path, monkeypatch):
@@ -198,3 +174,57 @@ class TestDeterminismAndParity:
                 report.results[exp_id].to_dict()) == expected
             assert canonical_json(
                 again.results[exp_id].to_dict()) == expected
+
+
+def _payloads(outcomes):
+    return {o.job.job_id: canonical_json(o.payload) for o in outcomes}
+
+
+@pytest.fixture(scope="module")
+def fig6_fig7_inline():
+    """Payloads of one inline runner invocation of quick fig6 + fig7."""
+    report = run_experiments(["fig6", "fig7"], quick=True, jobs=1,
+                             use_cache=False)
+    assert not report.errors
+    return _payloads(report.outcomes)
+
+
+class TestSharedRuns:
+    """Figure 7 views Figure 6's BTIO runs; one invocation runs them once."""
+
+    def test_one_invocation_simulates_each_distinct_run_once(
+            self, monkeypatch):
+        calls = count_btio_runs(monkeypatch)
+        report = run_experiments(["fig6", "fig7"], quick=True, jobs=1,
+                                 use_cache=False)
+        assert report.jobs_computed == 10
+        assert len(calls) == 6 and len(set(calls)) == 6
+
+    def test_fig3_reuses_fig2_unoptimized_runs(self, monkeypatch):
+        from repro.experiments import scf11_exps
+        calls = []
+        real = scf11_exps.run_scf11
+
+        def counting(machine_config, config, p):
+            calls.append((config.version, machine_config.n_io, p))
+            return real(machine_config, config, p)
+
+        monkeypatch.setattr(scf11_exps, "run_scf11", counting)
+        report = run_experiments(["fig2", "fig3"], quick=True, jobs=1,
+                                 use_cache=False)
+        assert not report.errors and report.jobs_computed == 18
+        # fig3's 16- and 64-I/O-node points are fig2's "unopt" runs.
+        assert len(calls) == 14 and len(set(calls)) == 14
+
+    def test_shared_payloads_equal_separate_invocations(
+            self, fig6_fig7_inline):
+        apart = {}
+        for exp_id in ("fig6", "fig7"):
+            apart.update(_payloads(run_experiments(
+                [exp_id], quick=True, jobs=1, use_cache=False).outcomes))
+        assert fig6_fig7_inline == apart
+
+    def test_pool_payloads_equal_inline(self, fig6_fig7_inline):
+        report = run_experiments(["fig6", "fig7"], quick=True, jobs=2,
+                                 use_cache=False)
+        assert _payloads(report.outcomes) == fig6_fig7_inline
