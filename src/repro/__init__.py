@@ -5,8 +5,7 @@ Architectural and Software Techniques on I/O-Intensive Applications*
 The package simulates 1990s distributed-memory message-passing machines
 (Intel Paragon, IBM SP-2) with parallel file systems (PFS, PIOFS), a stack
 of parallel-I/O software optimizations (efficient interface, prefetching,
-data sieving, two-phase collective I/O, file-layout transformation,
-balanced I/O), and the paper's five I/O-intensive applications (SCF 1.1,
+two-phase collective I/O, file-layout transformation, balanced I/O), and the paper's five I/O-intensive applications (SCF 1.1,
 SCF 3.0, out-of-core FFT, BTIO, AST) as simulated workloads.
 
 Subpackages:

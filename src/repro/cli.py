@@ -8,7 +8,6 @@ Usage::
     python -m repro run all --no-cache
     python -m repro cache stats
     python -m repro info
-    python -m repro bench --quick --check BENCH_kernel.json
     python -m repro diff --quick fig2 fig6
     python -m repro warm fig2 fig5 --quick --jobs 4
     python -m repro serve --port 8642 --warm fig5
@@ -89,25 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--quick", action="store_true",
                         help="scaled-down configurations")
     _add_runner_args(report)
-
-    bench = sub.add_parser(
-        "bench", help="run the tracked hot-path microbenchmarks")
-    bench.add_argument("--quick", action="store_true",
-                       help="single repetition per benchmark (CI smoke mode)")
-    bench.add_argument("-o", "--output", default="BENCH_kernel.json",
-                       metavar="PATH",
-                       help="write results here (default: BENCH_kernel.json; "
-                            "'' to skip)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against a baseline JSON; exit 1 if any "
-                            "metric regresses past --tolerance")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="allowed normalized slowdown (default: 0.25)")
-    bench.add_argument("--best-of", type=int, default=None, metavar="N",
-                       dest="best_of",
-                       help="repetitions per benchmark, keeping the best "
-                            "(default: 1 quick / 3 full)")
 
     diff = sub.add_parser(
         "diff", help="run experiments on both kernels and compare traces")
@@ -405,12 +385,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_info()
     if args.command == "report":
         return _cmd_report(args.output, args.quick, args)
-    if args.command == "bench":
-        from repro.bench import DEFAULT_TOLERANCE, main_bench
-
-        if args.tolerance is None:
-            args.tolerance = DEFAULT_TOLERANCE
-        return main_bench(args)
     if args.command == "diff":
         return _cmd_diff(args)
     if args.command == "serve":

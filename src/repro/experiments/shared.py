@@ -17,8 +17,8 @@ Rules:
   each other's state.
 * Outside a scope every call simulates.  The runner opens one scope per
   :meth:`~repro.runner.executor.PoolExecutor.run` call; the direct path
-  (``registry.run_experiment``), ``repro diff`` and ``repro bench``
-  never open one, so they re-simulate every run.
+  (``registry.run_experiment``) and ``repro diff`` never open one, so
+  they re-simulate every run.
 * Scopes are per thread (the serving engine runs inline jobs on several
   dispatcher threads) and nothing outlives its scope.
 """

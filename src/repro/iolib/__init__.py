@@ -8,8 +8,8 @@ Interfaces differ in per-call software cost and calling convention:
 - :class:`~repro.iolib.chameleon.ChameleonIO` — funnelled master-node I/O
 
 On top of the PASSION interface sit the optimization runtimes:
-two-phase collective I/O, prefetching, data sieving and out-of-core
-arrays (see :mod:`repro.iolib.passion`).
+two-phase collective I/O, prefetching and out-of-core arrays (see
+:mod:`repro.iolib.passion`).
 """
 
 from repro.iolib.base import InterfaceCosts, InterfaceFile, IOInterface
@@ -17,8 +17,6 @@ from repro.iolib.posix import UnixIO
 from repro.iolib.fortranio import FortranFile, FortranIO, RECORD_MARKER_BYTES
 from repro.iolib.chameleon import ChameleonIO
 from repro.iolib.passion import (
-    Decomposition,
-    Distribution,
     IORequest,
     Layout,
     OutOfCoreArray,
@@ -27,10 +25,6 @@ from repro.iolib.passion import (
     PrefetchReader,
     TwoPhaseIO,
     merge_intervals,
-    redistribute,
-    sieve_worthwhile,
-    sieved_read,
-    sieved_write,
 )
 
 __all__ = [
@@ -50,10 +44,4 @@ __all__ = [
     "PrefetchReader",
     "TwoPhaseIO",
     "merge_intervals",
-    "sieve_worthwhile",
-    "sieved_read",
-    "sieved_write",
-    "Decomposition",
-    "Distribution",
-    "redistribute",
 ]

@@ -1,12 +1,10 @@
 """The PASSION runtime: efficient interface, two-phase collective I/O,
-prefetching, data sieving, out-of-core arrays."""
+prefetching, out-of-core arrays."""
 
 from repro.iolib.passion.runtime import PassionFile, PassionIO
 from repro.iolib.passion.twophase import IORequest, TwoPhaseIO, merge_intervals
 from repro.iolib.passion.prefetch import PrefetchReader
-from repro.iolib.passion.sieve import sieved_read, sieved_write, sieve_worthwhile
 from repro.iolib.passion.oocarray import Layout, OutOfCoreArray
-from repro.iolib.passion.redistribute import Decomposition, Distribution, redistribute
 
 __all__ = [
     "PassionFile",
@@ -15,12 +13,6 @@ __all__ = [
     "TwoPhaseIO",
     "merge_intervals",
     "PrefetchReader",
-    "sieved_read",
-    "sieved_write",
-    "sieve_worthwhile",
     "Layout",
     "OutOfCoreArray",
-    "Decomposition",
-    "Distribution",
-    "redistribute",
 ]

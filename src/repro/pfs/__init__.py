@@ -5,7 +5,6 @@ from repro.pfs.cache import StripeCache
 from repro.pfs.file import FileHandle, PFile
 from repro.pfs.server import IOServer
 from repro.pfs.filesystem import PFS, PIOFS, ParallelFileSystem
-from repro.pfs.modes import IOMode, SharedModeFile
 
 __all__ = [
     "Extent",
@@ -17,6 +16,4 @@ __all__ = [
     "PFS",
     "PIOFS",
     "ParallelFileSystem",
-    "IOMode",
-    "SharedModeFile",
 ]

@@ -1,18 +1,21 @@
 """The simulation environment: clock, event heap, run loop.
 
 The run loop is the single hottest frame of every experiment (one to two
-million events per figure point), so :meth:`Environment.run` inlines the
-body of :meth:`Environment.step` with the heap, the pop function and the
-queue bound to locals.  The inlined loops are behaviour-identical to
-calling :meth:`step` repeatedly — :meth:`step` remains the reference
-single-event entry point.
+million events per figure point).  Every application driver runs its
+machine with ``run(until=<event>)`` — the event that fires when all
+ranks finish — so that form, and only that form, has an inlined loop:
+the body of :meth:`Environment.step` with the heap, the pop function and
+the queue bound to locals.  It is behaviour-identical to calling
+:meth:`step` repeatedly; :meth:`step` remains the reference single-event
+entry point, and ``run()`` / ``run(until=<number>)`` step through it on
+both kernels.
 
 Kernel modes
 ------------
 Every :class:`Environment` runs in one of two kernels:
 
-* the **fast kernel** (the default): the inlined run loop plus the
-  round-2 fast paths — heap-top event coalescing inside
+* the **fast kernel** (the default): the inlined ``run(until=<event>)``
+  loop plus the round-2 fast paths — heap-top event coalescing inside
   :meth:`Process._resume <repro.sim.process.Process._resume>`, the
   lightweight :class:`~repro.sim.process.FanOut` primitive, and the
   order-preserving synchronous grants of
@@ -32,9 +35,8 @@ Fast-loop dispatch protocol (relied on by the fast paths):
 * ``_solo`` is True exactly while the fast run loop is dispatching an
   event that has a *single* callback.  Only then may that callback
   consume further heap-top events inline, because nothing else is
-  pending at the current instant.
-* ``_horizon`` is the clock bound of a ``run(until=<number>)`` call;
-  inline consumers must not pop entries beyond it.
+  pending at the current instant.  :meth:`Environment.step` clears it,
+  so every fast path is off outside the inlined loop.
 * ``_until`` is the stop event of a ``run(until=<event>)`` call; inline
   consumers that process it must stop coalescing so the loop can exit
   exactly where the reference kernel would.
@@ -98,8 +100,6 @@ class Environment:
         self._fast = _DEFAULT_FAST if fast is None else bool(fast)
         #: True while the fast run loop dispatches a single-callback event.
         self._solo = False
-        #: Clock bound of the current ``run(until=<number>)`` call.
-        self._horizon = _INF
         #: Stop event of the current ``run(until=<event>)`` call.
         self._until: Optional[Event] = None
 
@@ -179,9 +179,9 @@ class Environment:
 
     def _run_reference(self, until: Optional[Any]) -> Any:
         """Reference run loop: drive the simulation one :meth:`step` at a
-        time.  Behaviour-identical to the fast loops in :meth:`run`, with
-        every fast path disabled — the oracle side of
-        :mod:`repro.sim.diff`."""
+        time, with every fast path disabled — the oracle side of
+        :mod:`repro.sim.diff`, and the loop for ``run()`` and
+        ``run(until=<number>)`` on both kernels."""
         if until is None:
             while self._queue:
                 self.step()
@@ -213,72 +213,26 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its exception).
         """
-        if not self._fast:
+        if not (self._fast and isinstance(until, Event)):
             return self._run_reference(until)
 
         queue = self._queue
         pop = heappop
-
-        if until is None:
-            try:
-                while queue:
-                    self._now, _, _, event = pop(queue)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        self._solo = True
-                        callbacks[0](event)
-                    else:
-                        self._solo = False
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            finally:
-                self._solo = False
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            self._until = stop
-            try:
-                while stop.callbacks is not None:
-                    if not queue:
-                        raise RuntimeError(
-                            f"simulation ran dry before {stop!r} fired") from None
-                    self._now, _, _, event = pop(queue)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1 and event is not stop:
-                        # Dispatching the stop event itself must not be
-                        # solo: its callback could otherwise coalesce
-                        # heap-top events past the stop point, which the
-                        # reference kernel leaves unprocessed.
-                        self._solo = True
-                        callbacks[0](event)
-                    else:
-                        self._solo = False
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            finally:
-                self._until = None
-                self._solo = False
-            if stop._ok:
-                return stop._value
-            raise stop._value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        self._horizon = horizon
+        stop = until
+        self._until = stop
         try:
-            while queue and queue[0][0] <= horizon:
+            while stop.callbacks is not None:
+                if not queue:
+                    raise RuntimeError(
+                        f"simulation ran dry before {stop!r} fired") from None
                 self._now, _, _, event = pop(queue)
                 callbacks = event.callbacks
                 event.callbacks = None
-                if len(callbacks) == 1:
+                if len(callbacks) == 1 and event is not stop:
+                    # Dispatching the stop event itself must not be
+                    # solo: its callback could otherwise coalesce
+                    # heap-top events past the stop point, which the
+                    # reference kernel leaves unprocessed.
                     self._solo = True
                     callbacks[0](event)
                 else:
@@ -288,10 +242,11 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
-            self._horizon = _INF
+            self._until = None
             self._solo = False
-        self._now = horizon
-        return None
+        if stop._ok:
+            return stop._value
+        raise stop._value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kernel = "fast" if self._fast else "reference"

@@ -48,17 +48,6 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
-    #: Heap-position hint read by the coalescing probes in
-    #: :mod:`repro.sim.process`: False promises "this event's heap entry
-    #: was not the heap minimum when pushed", letting the contended path
-    #: skip the full probe after a single attribute load.  The
-    #: conservative class-level default is True ("maybe at head") — the
-    #: probe then verifies against the live heap as before, so a stale
-    #: hint can only skip an optimization, never reorder events.  Only
-    #: :class:`Timeout` (the dominant self-pushing event) carries a
-    #: per-instance value.
-    _at_head = True
-
     def __init__(self, env):
         self.env = env
         #: Callables invoked with this event once it is processed.
@@ -157,7 +146,7 @@ class Timeout(Event):
     would only re-derive state already known here.
     """
 
-    __slots__ = ("delay", "_at_head")
+    __slots__ = ("delay",)
 
     def __init__(self, env, delay: float, value: Any = None):
         if delay < 0:
@@ -168,17 +157,8 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        # Heap-position hint for the coalescing probes: on a tie the
-        # older entry wins (smaller sequence number), so this entry is
-        # the minimum only when it is strictly earliest.  Timeouts are
-        # yielded immediately after construction on every hot site, so
-        # the hint is exact where it matters; the probes re-verify
-        # against the live heap regardless.
-        q = env._queue
-        wake = env._now + delay
-        self._at_head = not q or wake < q[0][0]
         env._eid += 1
-        heappush(q, (wake, NORMAL, env._eid, self))
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay}>"

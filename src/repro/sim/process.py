@@ -147,19 +147,17 @@ class Process(Event):
                 # Timeout).  Under a solo dispatch with nothing scheduled
                 # at or before the wake time — the reference kernel's heap
                 # entry for the timeout would be the strict minimum, being
-                # the youngest — and inside the run horizon, advance the
-                # clock right here: no Timeout object, no heap round-trip.
-                # Otherwise materialize the Timeout, which is what the
-                # reference kernel always does.
+                # the youngest — advance the clock right here: no Timeout
+                # object, no heap round-trip.  Otherwise materialize the
+                # Timeout, which is what the reference kernel always does.
                 if ((type(next_event) is float or type(next_event) is int)
                         and next_event >= 0):
                     wake = env._now + next_event
                     q = env._queue
                     # Heap check first: it is the test that fails when
                     # other processes contend, so the contended path
-                    # skips the solo/horizon loads entirely.
-                    if ((not q or q[0][0] > wake)
-                            and env._solo and wake <= env._horizon):
+                    # skips the solo load entirely.
+                    if (not q or q[0][0] > wake) and env._solo:
                         env._now = wake
                         event = _INIT
                         continue
@@ -193,21 +191,15 @@ class Process(Event):
                 # already triggered, nobody else waits on it, this dispatch
                 # is solo, and its heap entry is the global minimum — so the
                 # reference kernel's very next action would be to pop it and
-                # resume us.  Do that here without suspending.  The horizon
-                # guard keeps run(until=<number>) from consuming entries
-                # beyond its bound; hitting the run(until=<event>) stop
-                # event clears _solo so coalescing (and the loop) stop
-                # exactly where the reference kernel would.  The
-                # _at_head hint (computed at heap-push time) goes first:
-                # one load rules out events that were provably not the
-                # heap minimum when pushed — the common contended case —
-                # and a True hint is still fully re-verified below.
-                if (next_event._at_head and env._solo
-                        and not next_event.callbacks):
+                # resume us.  Do that here without suspending.  Hitting the
+                # run(until=<event>) stop event clears _solo so coalescing
+                # (and the loop) stop exactly where the reference kernel
+                # would.
+                if env._solo and not next_event.callbacks:
                     q = env._queue
                     if q:
                         head = q[0]
-                        if head[3] is next_event and head[0] <= env._horizon:
+                        if head[3] is next_event:
                             heappop(q)
                             env._now = head[0]
                             next_event.callbacks = None
@@ -338,8 +330,7 @@ class FanOut(Event):
                     if not starting:
                         wake = env._now + next_event
                         q = env._queue
-                        if ((not q or q[0][0] > wake)
-                                and env._solo and wake <= env._horizon):
+                        if (not q or q[0][0] > wake) and env._solo:
                             env._now = wake
                             event = _INIT
                             continue
@@ -361,12 +352,11 @@ class FanOut(Event):
                 return
 
             if next_event.callbacks is not None:
-                if (not starting and next_event._at_head and env._solo
-                        and not next_event.callbacks):
+                if not starting and env._solo and not next_event.callbacks:
                     q = env._queue
                     if q:
                         head = q[0]
-                        if head[3] is next_event and head[0] <= env._horizon:
+                        if head[3] is next_event:
                             heappop(q)
                             env._now = head[0]
                             next_event.callbacks = None

@@ -3,8 +3,6 @@
 from repro.trace.events import IOOp, TraceRecord
 from repro.trace.collector import OpAggregate, TraceCollector
 from repro.trace.summary import IOSummary, SummaryRow, summarize
-from repro.trace.timeline import TimeBin, Timeline, build_timeline
-from repro.trace.export import records_to_csv, trace_to_json, write_csv, write_json
 
 __all__ = [
     "IOOp",
@@ -14,11 +12,4 @@ __all__ = [
     "IOSummary",
     "SummaryRow",
     "summarize",
-    "TimeBin",
-    "Timeline",
-    "build_timeline",
-    "records_to_csv",
-    "trace_to_json",
-    "write_csv",
-    "write_json",
 ]

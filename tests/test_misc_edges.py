@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.iolib import (
-    Decomposition,
-    Distribution,
-    IORequest,
-    PassionIO,
-    PrefetchReader,
-    sieved_read,
-    sieved_write,
-)
-from repro.machine import Machine, MachineConfig, paragon_small
-from repro.mp import Communicator
+from repro.iolib import PassionIO, PrefetchReader
 from repro.pfs import PFS
 from tests.conftest import run_proc
 
@@ -60,64 +50,6 @@ class TestPrefetchEdges:
                 count += 1
             return count
         assert run_proc(small_machine, p()) == 2
-
-
-class TestSieveEdges:
-    def test_single_request_passthrough(self, small_machine):
-        fs = PFS(small_machine, functional=True)
-        interface = PassionIO(fs)
-        def p():
-            f = yield from interface.open(0, "one", create=True)
-            yield from f.pwrite(0, KB, b"\x07" * KB)
-            got = yield from sieved_read(f, [IORequest(0, KB)])
-            return got
-        assert run_proc(small_machine, p())[0] == b"\x07" * KB
-
-    def test_fully_covering_write_skips_preread(self, small_machine):
-        from repro.trace import IOOp, TraceCollector
-        fs = PFS(small_machine)
-        trace = TraceCollector()
-        interface = PassionIO(fs, trace=trace)
-        def p():
-            f = yield from interface.open(0, "cov", create=True)
-            reqs = [IORequest(k * KB, KB) for k in range(8)]  # contiguous
-            yield from sieved_write(f, reqs)
-        run_proc(small_machine, p())
-        assert trace.aggregate(IOOp.READ).count == 0
-        assert trace.aggregate(IOOp.WRITE).count == 1
-
-
-class TestRedistributeEdges:
-    def test_empty_array(self):
-        m = Machine(MachineConfig(n_compute=2, n_io=1))
-        comm = Communicator(m, 2)
-        from repro.iolib import redistribute
-        src = Decomposition(0, 2, Distribution.BLOCK)
-        dst = Decomposition(0, 2, Distribution.CYCLIC)
-        out = {}
-        def program(rank, comm):
-            out[rank] = yield from redistribute(rank, comm, src, dst)
-        procs = comm.spawn(program)
-        m.env.run(m.env.all_of(procs))
-        assert out == {0: 0, 1: 0}
-
-    def test_fewer_elements_than_ranks(self):
-        m = Machine(MachineConfig(n_compute=4, n_io=1))
-        comm = Communicator(m, 4)
-        from repro.iolib import redistribute
-        src = Decomposition(2, 4, Distribution.BLOCK)
-        dst = Decomposition(2, 4, Distribution.CYCLIC)
-        data = np.array([10.0, 20.0])
-        out = {}
-        def program(rank, comm):
-            local = data[src.local_indices(rank)]
-            out[rank] = yield from redistribute(rank, comm, src, dst,
-                                                local_data=local)
-        procs = comm.spawn(program)
-        m.env.run(m.env.all_of(procs))
-        assert list(out[0]) == [10.0]
-        assert list(out[1]) == [20.0]
-        assert len(out[2]) == 0 and len(out[3]) == 0
 
 
 class TestOOCArrayEdges:

@@ -1,18 +1,10 @@
-"""Tests for prefetching and data sieving."""
+"""Tests for prefetching."""
 
 import pytest
 
-from repro.iolib import (
-    IORequest,
-    PassionIO,
-    PrefetchReader,
-    sieve_worthwhile,
-    sieved_read,
-    sieved_write,
-)
+from repro.iolib import PassionIO, PrefetchReader
 from repro.machine import Machine, paragon_small
 from repro.pfs import PFS
-from repro.trace import IOOp, TraceCollector
 from tests.conftest import run_proc
 
 KB = 1024
@@ -123,73 +115,3 @@ class TestPrefetchReader:
         accounted, waited = _with_file(small_machine, fs, body)
         assert accounted > waited          # copy time added on top
 
-
-class TestSieve:
-    def _reqs(self, n=8, stride=4 * KB, size=KB, payload=None):
-        return [IORequest(i * stride, size,
-                          payload if payload is None
-                          else bytes([i + 1]) * size)
-                for i in range(n)]
-
-    def test_sieved_read_functional(self, small_machine):
-        fs = PFS(small_machine, functional=True)
-        interface = PassionIO(fs)
-        def gen():
-            f = yield from interface.open(0, "s.dat", create=True)
-            blob = bytes(range(256)) * 256   # 64 KB
-            yield from f.pwrite(0, len(blob), blob)
-            got = yield from sieved_read(f, self._reqs(n=4))
-            return blob, got
-        blob, got = run_proc(small_machine, gen())
-        for i, piece in enumerate(got):
-            off = i * 4 * KB
-            assert piece == blob[off:off + KB]
-
-    def test_sieved_read_single_spanning_access(self, small_machine):
-        fs = PFS(small_machine)
-        trace = TraceCollector()
-        interface = PassionIO(fs, trace=trace)
-        def gen():
-            f = yield from interface.open(0, "s.dat", create=True)
-            yield from f.pwrite(0, 64 * KB)
-            n_before = trace.aggregate(IOOp.READ).count
-            yield from sieved_read(f, self._reqs(n=8))
-            return trace.aggregate(IOOp.READ).count - n_before
-        assert run_proc(small_machine, gen()) == 1
-
-    def test_sieved_write_round_trip_with_holes(self, small_machine):
-        fs = PFS(small_machine, functional=True)
-        interface = PassionIO(fs)
-        def gen():
-            f = yield from interface.open(0, "w.dat", create=True)
-            yield from f.pwrite(0, 64 * KB, b"\x99" * (64 * KB))
-            reqs = self._reqs(n=4, payload=b"")
-            yield from sieved_write(f, reqs)
-            return None
-        run_proc(small_machine, gen())
-        f = fs.lookup("w.dat")
-        assert f.read_payload(0, KB) == b"\x01" * KB
-        assert f.read_payload(4 * KB, KB) == b"\x02" * KB
-        # Hole keeps old contents (read-modify-write).
-        assert f.read_payload(KB, KB) == b"\x99" * KB
-
-    def test_empty_requests(self, small_machine):
-        fs = PFS(small_machine)
-        interface = PassionIO(fs)
-        def gen():
-            f = yield from interface.open(0, "e.dat", create=True)
-            r = yield from sieved_read(f, [])
-            w = yield from sieved_write(f, [])
-            return r, w
-        assert run_proc(small_machine, gen()) == (0, 0)
-
-    def test_worthwhile_heuristic(self):
-        reqs = self._reqs(n=100, stride=2 * KB, size=KB)
-        # Expensive calls, cheap holes: sieve.
-        assert sieve_worthwhile(reqs, per_call_s=0.01, transfer_rate=5 * MB)
-        # Nearly free calls: not worth dragging holes along.
-        assert not sieve_worthwhile(reqs, per_call_s=1e-7,
-                                    transfer_rate=5 * MB)
-        # A single request never sieves.
-        assert not sieve_worthwhile(reqs[:1], per_call_s=1.0,
-                                    transfer_rate=5 * MB)

@@ -180,8 +180,8 @@ class TestCoalescedTimeouts:
 
 class TestRunUntil:
     def test_until_number_on_coalesced_sleep_boundary(self):
-        """run(until=t) where t is exactly a wake the fast kernel would
-        take inline: the run must stop at t, with the later wake intact."""
+        """run(until=t) where t is exactly a wake time: the run must stop
+        at t, with the later wake intact."""
         for fast in (True, False):
             env = Environment(fast=fast)
             log = []
@@ -223,8 +223,8 @@ class TestRunUntil:
             assert log == [5.0, 6.0, 7.0, 8.0]
 
     def test_until_number_timeout_chain_via_events(self):
-        # Same boundary check through explicit Timeout events (the
-        # heap-top coalescing path rather than the inline-sleep path).
+        # Same boundary check through explicit Timeout events rather
+        # than bare-number sleeps.
         for fast in (True, False):
             env = Environment(fast=fast)
             log = []
