@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from repro.runner import PoolExecutor
 from repro.runner.jobs import decompose
 from repro.serve import ServeApp, ServeClient, ServeEngine, ServerThread
 
@@ -29,8 +30,8 @@ CLIENT_THREADS = 4
 @pytest.fixture(scope="module")
 def serve_stack():
     """One server + its points for the whole module (shared cache)."""
-    app = ServeApp(engine=ServeEngine(dispatchers=CLIENT_THREADS),
-                   request_timeout_s=600.0)
+    engine = ServeEngine(executor=PoolExecutor(jobs=CLIENT_THREADS))
+    app = ServeApp(engine=engine, request_timeout_s=600.0)
     with ServerThread(app) as srv:
         points = [dict(job.config) for job in decompose(EXP_ID, quick=True)]
         yield srv, points

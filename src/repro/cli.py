@@ -106,10 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="TCP port, 0 for ephemeral (default: 8642)")
     serve.add_argument("-j", "--jobs", type=int, default=2, metavar="N",
-                       help="concurrent simulation jobs (default: 2); "
-                            ">= 2 runs each job in a worker process")
+                       help="simulation worker processes, forked once "
+                            "(default: 2); 1 runs jobs in the server "
+                            "process")
     serve.add_argument("--queue", type=int, default=64, metavar="N",
-                       help="bounded engine work queue (default: 64)")
+                       help="jobs allowed to wait for a worker "
+                            "before 429 (default: 64)")
     serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
                        help="concurrently admitted requests (default: 8)")
     serve.add_argument("--admission-queue", type=int, default=16,
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--quick", action="store_true",
                       help="scaled-down configurations")
     warm.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                      help="concurrent warm jobs (default: 1)")
+                      help="worker processes; 1 runs inline (default: 1)")
     warm.add_argument("--timeout", type=float, default=None, metavar="S",
                       help="per-job wall-clock limit (needs --jobs >= 2)")
     warm.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -295,31 +297,20 @@ def _cmd_serve(args) -> int:
                              ServeEngine, warm)
 
     metrics = MetricsRegistry()
-    # Dispatcher threads give request-level concurrency; with
-    # --jobs >= 2 the executor runs in pool mode so every dispatched
-    # job gets its own crash-isolated worker process (the simulations
-    # are CPU-bound pure Python, so threads alone would serialize).
+    # --jobs worker processes, forked once on the first miss and kept:
+    # each runs one crash-isolated job at a time (the simulations are
+    # CPU-bound pure Python, so threads would serialize on the GIL).
+    # --jobs 1 runs jobs on one thread of the server process instead.
     engine = ServeEngine(
         store=None if args.no_cache else ResultStore(args.cache_dir),
-        executor=PoolExecutor(jobs=min(2, max(1, args.jobs)),
-                              timeout_s=args.timeout),
+        executor=PoolExecutor(jobs=args.jobs, timeout_s=args.timeout),
         max_queue=args.queue,
-        dispatchers=max(1, args.jobs),
         metrics=metrics)
     admission = AdmissionController(
         max_inflight=args.max_inflight, max_queue=args.admission_queue,
         metrics=metrics)
     app = ServeApp(engine=engine, admission=admission, metrics=metrics,
                    request_timeout_s=args.request_timeout)
-
-    warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
-    if warm_ids:
-        if "all" in warm_ids:
-            from repro.experiments import registry
-            warm_ids = registry.experiment_ids()
-        report = warm(warm_ids, quick=not args.warm_full, engine=engine,
-                      stream=sys.stderr)
-        print(report.summary_text(), file=sys.stderr)
 
     async def serve_forever() -> None:
         await app.start(args.host, args.port)
@@ -337,10 +328,20 @@ def _cmd_serve(args) -> int:
         print("draining ...", file=sys.stderr)
         await app.shutdown()
 
+    warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
     try:
+        if warm_ids:
+            if "all" in warm_ids:
+                from repro.experiments import registry
+                warm_ids = registry.experiment_ids()
+            report = warm(warm_ids, quick=not args.warm_full, engine=engine,
+                          stream=sys.stderr)
+            print(report.summary_text(), file=sys.stderr)
         asyncio.run(serve_forever())
     except KeyboardInterrupt:  # pragma: no cover - non-signal platforms
         pass
+    finally:
+        engine.close()   # stops the worker processes on every exit path
     print("server stopped", file=sys.stderr)
     return 0
 

@@ -16,11 +16,12 @@ Rules:
   its trace, so a scope holds little memory and callers cannot alias
   each other's state.
 * Outside a scope every call simulates.  The runner opens one scope per
-  :meth:`~repro.runner.executor.PoolExecutor.run` call; the direct path
+  :meth:`~repro.runner.executor.PoolExecutor.run` call (per worker in a
+  pool) and one per ``submit``; the direct path
   (``registry.run_experiment``) and ``repro diff`` never open one, so
   they re-simulate every run.
-* Scopes are per thread (the serving engine runs inline jobs on several
-  dispatcher threads) and nothing outlives its scope.
+* Scopes are per thread (an executor may run inline jobs on its own
+  thread) and nothing outlives its scope.
 """
 
 from __future__ import annotations

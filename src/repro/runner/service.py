@@ -190,9 +190,6 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
             to_run.append(job)
 
     if to_run:
-        executor = PoolExecutor(jobs=jobs, timeout_s=timeout_s,
-                                retries=retries, backoff_s=backoff_s)
-
         def on_outcome(out: JobOutcome) -> None:
             if out.ok and store is not None:
                 store.put(out.job.key, out.payload,
@@ -202,8 +199,10 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
             if progress is not None:
                 progress.job_done(out)
 
-        for out in executor.run(to_run, on_outcome=on_outcome):
-            outcomes[out.job.job_id] = out
+        with PoolExecutor(jobs=jobs, timeout_s=timeout_s, retries=retries,
+                          backoff_s=backoff_s) as executor:
+            for out in executor.run(to_run, on_outcome=on_outcome):
+                outcomes[out.job.job_id] = out
 
     results: Dict[str, ExperimentResult] = {}
     errors: Dict[str, str] = {}

@@ -15,8 +15,9 @@ on the spot and reported as a miss, so the job is simply recomputed
 instead of poisoning assembly.  Legacy entries without a checksum field
 are accepted as-is.
 
-The store is safe to share between threads (the serving engine's
-dispatchers all read and write one instance): entries are only ever
+The store is safe to share between threads (the server's event loop
+and its worker pool's supervisor thread read and write one instance):
+entries are only ever
 observed whole because writes go through ``os.replace`` and unlinks are
 atomic, and the :class:`CacheStats` counters are updated under a lock
 so concurrent hits/misses are never lost.  ``gc``/``clear`` may run
@@ -89,7 +90,7 @@ class ResultStore:
 
     def _count(self, **deltas: int) -> None:
         """Apply counter deltas atomically (the store is shared across
-        the serving engine's dispatcher threads)."""
+        the serving engine's threads)."""
         with self._stats_lock:
             for name, delta in deltas.items():
                 setattr(self.stats, name, getattr(self.stats, name) + delta)

@@ -12,7 +12,7 @@ finish.
 
 Everything here runs on the asyncio event loop (single-threaded), so
 plain counters are race-free; the blocking work itself happens in the
-engine's dispatcher threads while the admitted request merely awaits a
+executor's worker processes while the admitted request merely awaits a
 future.  Per-request *processing* timeouts are the server's job
 (``asyncio.wait_for`` → 504); a request cancelled while still waiting
 in the admission queue gives its slot back cleanly.

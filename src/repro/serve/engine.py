@@ -10,29 +10,26 @@ the engine resolves it in this order:
    serving: many overlapping requests become one job).
 2. **Cache** — a validated :class:`~repro.runner.store.ResultStore`
    entry is returned without touching the executor.
-3. **Compute** — the job enters a *bounded* work queue consumed by
-   dispatcher threads, each of which pushes the job through a shared
-   :class:`~repro.runner.executor.PoolExecutor` and stores the fresh
-   payload back into the cache.  A full queue raises
-   :class:`EngineSaturated`, which the HTTP layer maps to 429.
+3. **Compute** — :meth:`PoolExecutor.submit
+   <repro.runner.executor.PoolExecutor.submit>`; a done-callback, run
+   on the executor's thread, stores the payload and resolves every
+   waiter.  Jobs the executor has not started form the *bounded* queue:
+   a full one raises :class:`EngineSaturated` (HTTP 429).
 
-All coordination is plain threading; the asyncio server awaits the
-returned :class:`concurrent.futures.Future` via
-:func:`asyncio.wrap_future`, and synchronous callers (``repro warm``,
-tests) block on it directly.  ``PoolExecutor`` is safe to share here:
-with ``jobs <= 1`` it executes inline in the calling dispatcher thread,
-and with ``jobs >= 2`` each ``run`` call builds its own private worker
-pool, so concurrent dispatchers never share mutable executor state.
+The asyncio server awaits the returned
+:class:`concurrent.futures.Future` via :func:`asyncio.wrap_future`;
+synchronous callers (``repro warm``, tests) block on it directly.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import traceback
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.runner.executor import JobOutcome, PoolExecutor
 from repro.runner.jobs import JobSpec
@@ -70,9 +67,8 @@ class PointOutcome:
     status: str                     # ok | failed | crashed | timeout | ...
     payload: Optional[dict] = None
     error: Optional[str] = None
-    #: Where the payload came from: ``cache`` or ``computed`` (a request
-    #: that coalesced onto another one reports ``coalesced`` via its
-    #: :class:`Ticket`, but shares this computed outcome).
+    #: ``cache`` or ``computed``; a request that coalesced onto another
+    #: reports ``coalesced`` via its :class:`Ticket`.
     source: str = SOURCE_COMPUTED
     elapsed_s: float = 0.0
 
@@ -110,7 +106,6 @@ class ServeEngine:
     def __init__(self, store: object = _DEFAULT_STORE,
                  executor: Optional[PoolExecutor] = None,
                  max_queue: int = 64,
-                 dispatchers: int = 2,
                  retry_after_s: float = 1.0,
                  metrics: Optional[MetricsRegistry] = None):
         self.store: Optional[ResultStore] = (
@@ -118,19 +113,16 @@ class ServeEngine:
         self.executor = executor if executor is not None \
             else PoolExecutor(jobs=1)
         self.max_queue = max(1, int(max_queue))
-        self.n_dispatchers = max(1, int(dispatchers))
         self.retry_after_s = retry_after_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
+        #: key -> the future every request for it waits on, and the
+        #: executor's future for the job computing it.
         self._inflight: "Dict[str, Future[PointOutcome]]" = {}
-        self._work: "List[tuple]" = []          # FIFO, guarded by _lock
-        self._work_ready = threading.Condition(self._lock)
-        self._queued = 0
-        self._executing = 0
+        self._jobs: "Dict[str, Future[JobOutcome]]" = {}
         self._closed = False
-        self._threads: List[threading.Thread] = []
         self.jobs_executed = 0
 
         m = self.metrics
@@ -148,27 +140,25 @@ class ServeEngine:
         self._m_saturated = m.counter(
             "serve_engine_saturated_total",
             "submissions rejected because the work queue was full")
-        self._g_queue = m.gauge(
-            "serve_queue_depth", "jobs waiting in the engine work queue")
-        self._g_executing = m.gauge(
-            "serve_jobs_executing", "jobs currently running on the executor")
+        m.gauge("serve_queue_depth",
+                "jobs waiting in the engine work queue").set_function(
+            lambda: self._count(running=False))
+        m.gauge("serve_jobs_executing",
+                "jobs currently running on the executor").set_function(
+            lambda: self._count(running=True))
 
     # -- submission ----------------------------------------------------
 
     def submit(self, job: JobSpec) -> Ticket:
         """Resolve one job: coalesce, else cache hit, else enqueue.
-
-        Returns immediately with a :class:`Ticket`; raises
-        :class:`EngineSaturated` when the bounded queue is full and
-        :class:`EngineClosed` after :meth:`close` began.
-        """
+        Raises :class:`EngineSaturated` when the bounded queue is full
+        and :class:`EngineClosed` after :meth:`close` began."""
         key = job.key
         with self._lock:
             self._check_open()
-            shared = self._inflight.get(key)
-            if shared is not None:
+            if key in self._inflight:
                 self._m_coalesced.inc()
-                return Ticket(job, shared, coalesced=True)
+                return Ticket(job, self._inflight[key], coalesced=True)
         if self.store is not None:
             entry = self.store.get(key)
             if entry is not None:
@@ -180,21 +170,20 @@ class ServeEngine:
                 return Ticket(job, fut, coalesced=False)
         with self._lock:
             self._check_open()
-            shared = self._inflight.get(key)
-            if shared is not None:   # lost the probe race: still coalesce
+            if key in self._inflight:  # lost the probe race: coalesce
                 self._m_coalesced.inc()
-                return Ticket(job, shared, coalesced=True)
-            if self._queued >= self.max_queue:
+                return Ticket(job, self._inflight[key], coalesced=True)
+            queued = self._count(running=False)
+            if queued >= self.max_queue:
                 self._m_saturated.inc()
-                raise EngineSaturated(self._queued, self.retry_after_s)
+                raise EngineSaturated(queued, self.retry_after_s)
             self._m_misses.inc()
             fut = Future()
-            self._inflight[key] = fut
-            self._work.append((key, job, fut))
-            self._queued += 1
-            self._g_queue.set(self._queued)
-            self._ensure_dispatchers()
-            self._work_ready.notify()
+            t0 = time.perf_counter()
+            work = self.executor.submit(job)
+            self._inflight[key], self._jobs[key] = fut, work
+        # Outside the lock: a job that already finished calls back here.
+        work.add_done_callback(functools.partial(self._finish, job, fut, t0))
         return Ticket(job, fut, coalesced=False)
 
     def run_job(self, job: JobSpec,
@@ -206,66 +195,38 @@ class ServeEngine:
         if self._closed:
             raise EngineClosed("engine is shut down")
 
-    # -- dispatch ------------------------------------------------------
+    def _count(self, running: bool) -> int:
+        """Jobs queued or running; lock-free for metric scrapes."""
+        return sum(1 for work in list(self._jobs.values())
+                   if not work.done() and work.running() == running)
 
-    def _ensure_dispatchers(self) -> None:
-        while len(self._threads) < self.n_dispatchers:
-            t = threading.Thread(
-                target=self._dispatch_loop, daemon=True,
-                name=f"serve-dispatch-{len(self._threads)}")
-            self._threads.append(t)
-            t.start()
+    # -- completion ----------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._work_ready:
-                while not self._work and not self._closed:
-                    self._work_ready.wait()
-                if not self._work:       # closed and drained
-                    return
-                key, job, fut = self._work.pop(0)
-                self._queued -= 1
-                self._executing += 1
-                self._g_queue.set(self._queued)
-                self._g_executing.set(self._executing)
-            outcome: Optional[PointOutcome] = None
-            try:
-                outcome = self._execute(job)
-            except Exception:
-                # _execute guards the executor and store, but a bug
-                # anywhere in the per-job path (serialization, metrics)
-                # must not kill the dispatcher: convert to a failed
-                # outcome so every waiter gets an answer.
-                outcome = PointOutcome(job, "failed",
-                                       error=traceback.format_exc())
-                self._m_job_errors.inc()
-            finally:
-                # Always un-publish the key and resolve the shared
-                # future — a leaked _inflight entry would coalesce all
-                # future requests for this key onto a dead future.
-                with self._lock:
-                    self._inflight.pop(key, None)
-                    self._executing -= 1
-                    self._g_executing.set(self._executing)
-                    self._idle.notify_all()
-                if outcome is None:   # BaseException in _execute
-                    outcome = PointOutcome(
-                        job, "crashed",
-                        error="dispatcher died: "
-                              + traceback.format_exc())
-                if not fut.cancelled():
-                    try:
-                        fut.set_result(outcome)
-                    except InvalidStateError:
-                        pass
-
-    def _execute(self, job: JobSpec) -> PointOutcome:
-        t0 = time.perf_counter()
+    def _finish(self, job: JobSpec, fut: "Future[PointOutcome]", t0: float,
+                work: "Future[JobOutcome]") -> None:
+        """Done-callback: store the payload, then answer every waiter."""
         try:
-            (out,) = self.executor.run([job])
+            outcome = self._complete(job, work.result(),
+                                     time.perf_counter() - t0)
         except Exception:
-            out = JobOutcome(job, "failed", error=traceback.format_exc())
-        elapsed = time.perf_counter() - t0
+            # A bug in the per-job path (serialization, metrics) or a
+            # cancelled job must still answer every waiter.
+            outcome = PointOutcome(job, "failed",
+                                   error=traceback.format_exc())
+            self._m_job_errors.inc()
+        # Un-publish the key before resolving: a leaked entry would
+        # coalesce every later request for it onto a dead future.
+        with self._lock:
+            self._inflight.pop(job.key, None)
+            self._jobs.pop(job.key, None)
+            self._idle.notify_all()
+        try:
+            fut.set_result(outcome)
+        except InvalidStateError:
+            pass
+
+    def _complete(self, job: JobSpec, out: JobOutcome,
+                  elapsed: float) -> PointOutcome:
         with self._lock:
             self.jobs_executed += 1
         self._m_jobs.inc()
@@ -276,10 +237,8 @@ class ServeEngine:
                                    job_id=job.job_id, kind=job.kind,
                                    config=dict(job.config),
                                    elapsed_s=out.elapsed_s)
-                except Exception:
-                    # Unwritable cache, unserializable payload, ...:
-                    # serve the fresh payload anyway.
-                    pass
+                except Exception:  # unwritable cache, unserializable
+                    pass           # payload, ...: serve it anyway
         else:
             self._m_job_errors.inc()
         return PointOutcome(job, out.status, payload=out.payload,
@@ -290,8 +249,7 @@ class ServeEngine:
 
     @property
     def queue_depth(self) -> int:
-        with self._lock:
-            return self._queued
+        return self._count(running=False)
 
     @property
     def inflight(self) -> int:
@@ -312,19 +270,18 @@ class ServeEngine:
         return True
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, finish what is queued, join dispatchers.
+        """Stop accepting work, finish what is queued, close the executor.
 
-        Queued jobs still run to completion (their futures resolve), so
-        a graceful server shutdown never abandons an admitted request.
+        Queued jobs get ``timeout`` seconds to complete, so a graceful
+        server shutdown never abandons an admitted request; any still
+        unfinished then resolve as ``lost``.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._work_ready.notify_all()
-        deadline = time.monotonic() + timeout
-        for t in self._threads:
-            t.join(max(0.1, deadline - time.monotonic()))
+        self.drain(timeout)
+        self.executor.close()
 
     def __enter__(self) -> "ServeEngine":
         return self

@@ -2,8 +2,9 @@
 
 A tiny, thread-safe, stdlib-only metrics registry in the Prometheus
 data model.  The serving layer updates it from both the asyncio event
-loop and the engine's dispatcher threads, so every mutation happens
-under the registry lock; reads (:meth:`MetricsRegistry.to_dict`,
+loop and the executor threads that finish engine jobs, so every
+mutation happens under the registry lock; reads
+(:meth:`MetricsRegistry.to_dict`,
 :meth:`MetricsRegistry.render_prometheus`) take a consistent snapshot
 under the same lock.
 
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
@@ -117,6 +119,15 @@ class Gauge(_Family):
     def __init__(self, name: str, help_text: str, lock: threading.Lock):
         super().__init__(name, help_text, lock)
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read the value from ``fn`` at every read instead.
+
+        ``fn`` runs under the registry lock, so it must not block on a
+        lock held by code that updates metrics.
+        """
+        self._fn = fn
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -133,7 +144,7 @@ class Gauge(_Family):
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            return self._value if self._fn is None else float(self._fn())
 
     def _touched(self) -> bool:
         return self._value != 0 or not self._children

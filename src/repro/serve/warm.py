@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import sys
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, TextIO
 
 from repro.experiments import registry
 from repro.runner.jobs import decompose
-from repro.serve.engine import PointOutcome, ServeEngine, Ticket
+from repro.serve.engine import (EngineSaturated, PointOutcome, ServeEngine,
+                                Ticket)
 
 __all__ = ["WarmReport", "warm"]
 
@@ -88,7 +90,9 @@ def warm(exp_ids: Iterable[str], quick: bool = True,
     try:
         for exp_id in exp_ids:
             jobs = decompose(exp_id, quick=quick)
-            tickets: List[Ticket] = [engine.submit(job) for job in jobs]
+            tickets: List[Ticket] = []
+            for job in jobs:
+                tickets.append(_admit(engine, job, tickets))
             outcomes: List[PointOutcome] = [t.result() for t in tickets]
             row = {"jobs": len(jobs), "cache": 0, "computed": 0,
                    "failed": 0}
@@ -113,6 +117,25 @@ def warm(exp_ids: Iterable[str], quick: bool = True,
     return report
 
 
+def _admit(engine: ServeEngine, job, tickets: List[Ticket]) -> Ticket:
+    """Submit ``job``, waiting out a full engine queue.
+
+    An experiment may have more points than the queue holds, and live
+    traffic may be queued too: on :class:`EngineSaturated`, wait for one
+    of our own points to finish (or ``retry_after_s``) and try again.
+    """
+    while True:
+        try:
+            return engine.submit(job)
+        except EngineSaturated as exc:
+            pending = [t.future for t in tickets if not t.future.done()]
+            if pending:
+                futures.wait(pending, exc.retry_after_s,
+                             futures.FIRST_COMPLETED)
+            else:
+                time.sleep(exc.retry_after_s)
+
+
 def main_warm(args) -> int:
     """CLI entry point for ``repro warm`` (see :mod:`repro.cli`)."""
     from repro.runner.executor import PoolExecutor
@@ -126,15 +149,12 @@ def main_warm(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    # Concurrency comes from the dispatcher threads; with --jobs >= 2
-    # the executor runs in pool mode, so each dispatched job gets its
-    # own crash-isolated worker process (pure-Python simulation is
-    # CPU-bound, so inline threads alone would serialize on the GIL).
+    # --jobs >= 2 runs the points on that many crash-isolated worker
+    # processes (pure-Python simulation is CPU-bound, so threads would
+    # serialize on the GIL).
     engine = ServeEngine(
         store=ResultStore(args.cache_dir),
-        executor=PoolExecutor(jobs=min(2, max(1, args.jobs)),
-                              timeout_s=args.timeout),
-        dispatchers=max(1, args.jobs))
+        executor=PoolExecutor(jobs=args.jobs, timeout_s=args.timeout))
     try:
         report = warm(targets, quick=args.quick, engine=engine,
                       stream=sys.stderr)

@@ -5,6 +5,7 @@ dict; the pool's ``fork`` start method means worker processes inherit
 them, so jobs can cross the process boundary as plain data.
 """
 
+import multiprocessing as mp
 import os
 import threading
 import time
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from repro.experiments import ExperimentResult, btio_exps, registry
-from repro.experiments.shared import shared_runs
+from repro.experiments.shared import shared, shared_runs
 from repro.runner import JobOutcome, PoolExecutor, decompose
 from repro.sim.diff import kernel
 from tests.conftest import count_btio_runs, register_experiment
@@ -26,6 +27,33 @@ def _fake(exp_id, body=None):
         res.add_check("ok", True)
         return res
     return fn
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def _pid_points(monkeypatch, exp_id, n_points, nap=0.0):
+    """A sweep whose points report the pid of the process running them."""
+    def run_point(point):
+        time.sleep(nap)
+        return {**point, "pid": os.getpid()}
+    register_experiment(monkeypatch, exp_id, run_point=run_point,
+                        n_points=n_points)
+    return decompose(exp_id, quick=True)
+
+
+@shared
+def _shared_probe(marker):
+    """A "machine run" that appends one line to ``marker`` per simulation."""
+    with open(marker, "a") as fh:
+        fh.write("run\n")
+    return 42
 
 
 def _register(monkeypatch, **fakes):
@@ -157,3 +185,98 @@ class TestSharedRunScope:
             other.join(timeout=60)
         assert not other.is_alive()
         assert len(calls) == 2
+
+
+class TestPersistentPool:
+    """Workers fork once per executor and live until ``close``."""
+
+    def test_n_jobs_fork_exactly_n_workers(self, monkeypatch):
+        jobs = _pid_points(monkeypatch, "zz_pids", 8, nap=0.05)
+        with PoolExecutor(jobs=2) as executor:
+            outs = executor.run(jobs)
+            outs += [executor.submit(job).result(30) for job in jobs]
+        pids = {o.payload["pid"] for o in outs}
+        assert all(o.ok for o in outs)
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_submit_returns_future_of_outcome(self, monkeypatch):
+        (job,) = _pid_points(monkeypatch, "zz_fut", 1)
+        with PoolExecutor(jobs=2) as executor:
+            fut = executor.submit(job)
+            out = fut.result(30)
+        assert isinstance(out, JobOutcome) and out.ok
+        assert out.payload["pid"] != os.getpid()
+
+    def test_crash_and_timeout_replace_the_worker(self, monkeypatch):
+        def crash():
+            time.sleep(0.5)     # let the "started" message flush
+            os._exit(3)
+
+        crashing = _register(monkeypatch, zz_crash=_fake("zz_crash", crash),
+                             zz_hang=_fake("zz_hang",
+                                           lambda: time.sleep(30)))
+        good = _pid_points(monkeypatch, "zz_after", 4, nap=0.05)
+        with PoolExecutor(jobs=2, timeout_s=1.0) as executor:
+            statuses = [o.status for o in executor.run(crashing)]
+            assert statuses == ["crashed", "timeout"]
+            assert _wait_until(lambda: len(mp.active_children()) == 2)
+            outs = executor.run(good)
+        assert all(o.ok for o in outs)
+
+    def test_close_leaves_no_live_child(self, monkeypatch):
+        jobs = _pid_points(monkeypatch, "zz_close", 3)
+        executor = PoolExecutor(jobs=2)
+        assert all(o.ok for o in executor.run(jobs))
+        assert len(mp.active_children()) == 2
+        executor.close()
+        assert mp.active_children() == []
+        executor.close()        # idempotent
+
+    def test_submit_after_close_raises(self, monkeypatch):
+        (job,) = _pid_points(monkeypatch, "zz_shut", 1)
+        for n in (1, 2):
+            executor = PoolExecutor(jobs=n)
+            executor.submit(job).result(30)
+            executor.close()
+            with pytest.raises(RuntimeError):
+                executor.submit(job)
+
+    def test_registry_is_read_when_the_workers_fork(self, monkeypatch):
+        """Experiments registered before the first submit are visible
+        in the workers; ones registered after it are not."""
+        (early,) = _pid_points(monkeypatch, "zz_early", 1)
+        with PoolExecutor(jobs=2) as executor:
+            assert executor.submit(early).result(30).ok
+            (late,) = _pid_points(monkeypatch, "zz_late", 1)
+            out = executor.submit(late).result(30)
+        assert out.status == "failed" and "zz_late" in out.error
+
+    def test_unclosed_executor_stops_its_workers_when_collected(
+            self, monkeypatch):
+        jobs = _pid_points(monkeypatch, "zz_gc", 2)
+        assert all(o.ok for o in PoolExecutor(jobs=2).run(jobs))
+        assert _wait_until(lambda: mp.active_children() == [])
+
+    def test_one_run_shares_runs_two_runs_do_not(self, monkeypatch,
+                                                 tmp_path):
+        marker = str(tmp_path / "runs.log")
+        register_experiment(
+            monkeypatch, "zz_share", n_points=6,
+            run_point=lambda p: {**p, "v": _shared_probe(marker)})
+        jobs = decompose("zz_share", quick=True)
+
+        def runs():
+            with open(marker) as fh:
+                return len(fh.readlines())
+
+        with PoolExecutor(jobs=2) as executor:
+            executor.run(jobs)
+            # One scope per worker: at most one simulation each.
+            assert 1 <= runs() <= 2
+            before = runs()
+            executor.run(jobs[:1])
+            executor.run(jobs[:1])
+            assert runs() == before + 2
+            executor.submit(jobs[0]).result(30)
+            executor.submit(jobs[0]).result(30)
+            assert runs() == before + 4

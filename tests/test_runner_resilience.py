@@ -8,8 +8,11 @@ inherit them (same idiom as test_runner_executor.py).
 """
 
 import json
+import multiprocessing as mp
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -159,6 +162,54 @@ class TestRetry:
         (out,) = PoolExecutor(jobs=2, retries=3, backoff_s=0.01).run(jobs)
         assert out.status == "failed" and out.attempts == 0
         assert "deterministic" in out.error
+
+
+class TestCleanExit:
+    def test_worker_exiting_with_status_zero_is_replaced(self,
+                                                         monkeypatch):
+        """A job calling sys.exit(0) fails; its worker is replaced."""
+        jobs = _register(monkeypatch,
+                         zz_exit0=_fake("zz_exit0", lambda: sys.exit(0)),
+                         zz_exit1=_fake("zz_exit1", lambda: sys.exit(0)),
+                         zz_fine=_fake("zz_fine"))
+        outs = []
+        with PoolExecutor(jobs=2) as executor:
+            runner = threading.Thread(
+                target=lambda: outs.extend(executor.run(jobs)), daemon=True)
+            runner.start()
+            runner.join(30)
+            assert not runner.is_alive(), "pool hung on exited workers"
+            deadline = time.monotonic() + 10
+            while len(mp.active_children()) != 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(mp.active_children()) == 2
+        by_id = {o.job.exp_id: o for o in outs}
+        assert by_id["zz_fine"].ok
+        for exp_id in ("zz_exit0", "zz_exit1"):
+            assert by_id[exp_id].status == "failed"
+            assert "SystemExit" in by_id[exp_id].error
+
+
+class TestTimeoutKill:
+    def test_timed_out_worker_ignoring_sigterm_is_killed(self,
+                                                         monkeypatch):
+        """Workers forked under ``repro serve`` inherit asyncio's no-op
+        SIGTERM handler: a timeout must still remove the worker."""
+        jobs = _register(monkeypatch,
+                         zz_stuck=_fake("zz_stuck", lambda: time.sleep(30)))
+        previous = signal.signal(signal.SIGTERM, lambda *a: None)
+        try:
+            with PoolExecutor(jobs=2, timeout_s=0.5) as executor:
+                (out,) = executor.run(jobs)
+                assert out.status == "timeout"
+                deadline = time.monotonic() + 10
+                while len(mp.active_children()) != 2 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(mp.active_children()) == 2
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestBlackbox:

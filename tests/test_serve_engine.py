@@ -1,10 +1,12 @@
 """Tests for the single-flight, cache-first serving engine."""
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.runner.executor import PoolExecutor
 from repro.runner.jobs import KIND_POINT, JobSpec
 from repro.runner.store import ResultStore
 from repro.serve.engine import (EngineClosed, EngineSaturated, ServeEngine)
@@ -80,7 +82,7 @@ class TestSingleFlight:
             return {**point, "y": 42}
 
         register_experiment(monkeypatch, "zz_sf", run_point)
-        with ServeEngine(store=store, dispatchers=4) as engine:
+        with ServeEngine(store=store) as engine:
             tickets = [engine.submit(_job("zz_sf")) for _ in range(5)]
             assert _wait_until(lambda: len(calls) == 1)
             gate.set()
@@ -106,7 +108,7 @@ class TestSingleFlight:
 
     def test_distinct_configs_do_not_coalesce(self, monkeypatch, store):
         register_experiment(monkeypatch, "zz_sf", lambda p: {**p})
-        with ServeEngine(store=store, dispatchers=2) as engine:
+        with ServeEngine(store=store) as engine:
             a = engine.run_job(_job("zz_sf", 0))
             b = engine.run_job(_job("zz_sf", 1))
             assert a.payload != b.payload
@@ -122,13 +124,58 @@ class TestSingleFlight:
             assert out.source == "cache"
 
 
+class TestPoolStress:
+    def test_overlapping_keys_from_many_threads(self, monkeypatch, store):
+        """8 client threads on a 3-worker pool: every miss runs once and
+        every request is counted exactly once."""
+        register_experiment(monkeypatch, "zz_st",
+                            lambda p: (time.sleep(0.01) or {**p, "y": 1}))
+        keys, per_thread, threads = 6, 12, 8
+        outs, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeEngine(store=store,
+                             executor=PoolExecutor(jobs=3)) as engine:
+                def client(t):
+                    try:
+                        for n in range(per_thread):
+                            job = _job("zz_st", (t + n) % keys)
+                            outs.append(engine.submit(job).result(30))
+                    except Exception as exc:  # pragma: no cover
+                        errors.append(exc)
+                pool = [threading.Thread(target=client, args=(t,))
+                        for t in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(60)
+                assert not any(t.is_alive() for t in pool)
+                m = engine.metrics
+                served = sum(m.get(name).value for name in (
+                    "serve_cache_hits_total", "serve_cache_misses_total",
+                    "serve_coalesced_total"))
+                # Each miss ran exactly once; a request whose cache probe
+                # raced a finishing job may run its key a second time.
+                assert engine.jobs_executed >= keys
+                assert engine.jobs_executed == m.get(
+                    "serve_cache_misses_total").value == m.get(
+                    "serve_jobs_total").value
+                assert engine.inflight == 0 and engine.queue_depth == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(outs) == served == threads * per_thread
+        assert all(o.ok and o.payload["y"] == 1 for o in outs)
+
+
 class TestSaturationAndFailure:
     def test_bounded_queue_raises_engine_saturated(self, monkeypatch,
                                                    store):
         gate = threading.Event()
         register_experiment(monkeypatch, "zz_sat",
                        lambda p: (gate.wait(10) and {**p}) or {**p})
-        engine = ServeEngine(store=store, dispatchers=1, max_queue=1,
+        engine = ServeEngine(store=store, max_queue=1,
                              retry_after_s=3.0)
         try:
             engine.submit(_job("zz_sat", 0))    # dequeued, executing
@@ -182,25 +229,26 @@ class TestDispatcherRobustness:
     def test_dispatcher_survives_unexpected_execute_error(self,
                                                           monkeypatch,
                                                           store):
-        """A bug anywhere in the per-job path must resolve the future
-        as failed and un-publish the key -- not kill the dispatcher."""
+        """A bug anywhere in the per-job completion path must resolve
+        the future as failed and un-publish the key -- and leave the
+        engine and its executor working."""
         register_experiment(monkeypatch, "zz_rob", lambda p: {**p, "y": 1})
-        with ServeEngine(store=store, dispatchers=1) as engine:
-            real_execute = engine._execute
+        with ServeEngine(store=store) as engine:
+            real_complete = engine._complete
             boom = {"on": True}
 
-            def flaky_execute(job):
+            def flaky_complete(job, out, elapsed):
                 if boom["on"]:
                     raise TypeError("per-job bookkeeping bug")
-                return real_execute(job)
+                return real_complete(job, out, elapsed)
 
-            monkeypatch.setattr(engine, "_execute", flaky_execute)
+            monkeypatch.setattr(engine, "_complete", flaky_complete)
             out = engine.run_job(_job("zz_rob"), timeout=10)
             assert not out.ok and out.status == "failed"
             assert "per-job bookkeeping bug" in out.error
             assert engine.inflight == 0   # no leaked single-flight entry
             assert engine.metrics.get("serve_job_errors_total").value == 1
-            # Same key, same (sole) dispatcher: both still work.
+            # Same key, same (sole) executor thread: both still work.
             boom["on"] = False
             out2 = engine.run_job(_job("zz_rob"), timeout=10)
             assert out2.ok and out2.payload == {"i": 0, "y": 1}
@@ -208,15 +256,15 @@ class TestDispatcherRobustness:
     def test_unserializable_payload_served_not_cached(self, monkeypatch,
                                                       store):
         """json can't encode a set: store.put raises TypeError, which
-        must not kill the dispatcher -- the payload is still served."""
+        must not break the engine -- the payload is still served."""
         register_experiment(monkeypatch, "zz_ser",
                        lambda p: {**p, "y": {1, 2}})
-        with ServeEngine(store=store, dispatchers=1) as engine:
+        with ServeEngine(store=store) as engine:
             out = engine.run_job(_job("zz_ser"), timeout=10)
             assert out.ok and out.payload == {"i": 0, "y": {1, 2}}
             assert store.get(_job("zz_ser").key) is None   # not cached
             out2 = engine.run_job(_job("zz_ser"), timeout=10)
-            assert out2.ok                 # dispatcher still alive
+            assert out2.ok                 # engine still serving
 
 
 class TestLifecycle:
@@ -230,7 +278,7 @@ class TestLifecycle:
     def test_close_finishes_queued_work(self, monkeypatch, store):
         register_experiment(monkeypatch, "zz_cl",
                        lambda p: (time.sleep(0.02) or {**p, "y": 5}))
-        engine = ServeEngine(store=store, dispatchers=1, max_queue=8)
+        engine = ServeEngine(store=store, max_queue=8)
         tickets = [engine.submit(_job("zz_cl", i)) for i in range(4)]
         engine.close()
         outs = [t.result(10) for t in tickets]

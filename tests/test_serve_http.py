@@ -283,7 +283,7 @@ class TestSingleFlightOverHTTP:
             return {**point, "y": 0.0}
 
         register_experiment(monkeypatch, "zz_exp", run_point=run_point)
-        app = ServeApp(engine=ServeEngine(dispatchers=4))
+        app = ServeApp(engine=ServeEngine())
         with ServerThread(app) as srv:
             client = ServeClient(srv.base_url, timeout_s=30.0)
             results = []
@@ -360,7 +360,7 @@ class TestAdmissionOverHTTP:
         register_experiment(monkeypatch, "zz_q", run_point=run_point)
         metrics = MetricsRegistry()
         app = ServeApp(
-            engine=ServeEngine(dispatchers=1, max_queue=1,
+            engine=ServeEngine(max_queue=1,
                                metrics=metrics),
             admission=AdmissionController(max_inflight=8, max_queue=8,
                                           metrics=metrics),
@@ -375,7 +375,7 @@ class TestAdmissionOverHTTP:
                 t.start()
                 threads.append(t)
 
-            fire(0)   # dequeued by the single dispatcher, blocks on gate
+            fire(0)   # started by the single executor thread, blocks on gate
             assert _wait_until(
                 lambda: client.metrics()["serve_jobs_executing"] == 1,
                 timeout=10)

@@ -1,6 +1,7 @@
 """Tests for cache warming (library call and ``repro warm`` CLI)."""
 
 import io
+import time
 
 import pytest
 
@@ -63,6 +64,21 @@ class TestWarm:
         with ServeEngine(store=ResultStore(tmp_path / "c")) as engine:
             warm(["zz_w"], engine=engine, stream=out)
         assert "warm zz_w: 3 job(s)" in out.getvalue()
+
+    def test_more_points_than_the_engine_queue(self, monkeypatch,
+                                               tmp_path):
+        """Warming waits out a full queue instead of failing."""
+        register_experiment(monkeypatch, "zz_wide", n_points=6,
+                            run_point=lambda p: (time.sleep(0.05)
+                                                 or {**p}))
+        store = ResultStore(tmp_path / "cache")
+        with ServeEngine(store=store, max_queue=1,
+                         retry_after_s=0.05) as engine:
+            report = warm(["zz_wide"], engine=engine)
+            saturated = engine.metrics.get(
+                "serve_engine_saturated_total").value
+        assert report.ok and report.computed == 6
+        assert saturated >= 1     # the queue really was full
 
     def test_private_engine_closed_after_warm(self, monkeypatch):
         register_experiment(monkeypatch, "zz_w")

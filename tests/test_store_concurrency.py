@@ -1,7 +1,7 @@
 """Concurrency tests for the shared result store.
 
-The serving engine hands one :class:`ResultStore` instance to several
-dispatcher threads, so the store must never serve a torn payload
+The serving engine and the runner share one :class:`ResultStore`
+instance across threads, so the store must never serve a torn payload
 (atomic ``os.replace`` writes + checksum validation), must survive
 ``gc``/``clear`` racing active readers, and must not lose stats
 counters to interleaved updates.
