@@ -21,7 +21,8 @@ Costs are *requests per nest execution*: a contiguous traversal issues one
 request per outer-iteration panel; a strided one issues one request per
 innermost iteration.  This is exactly the quantity the simulator charges,
 so the advisor's choice can be validated against measured I/O time (see
-``benchmarks/test_ablation_layout_advisor.py``).
+``tests/test_advisor_layout.py``, which checks it picks the FFT's
+measured winner).
 """
 
 from __future__ import annotations

@@ -1,13 +1,5 @@
-"""Analysis helpers: scaling curves, crossovers, analytic I/O models."""
+"""Analysis helpers: closed-form models of disk and I/O-library costs."""
 
-from repro.analysis.scaling import (
-    ScalingFit,
-    amdahl_fit,
-    crossover,
-    parallel_efficiency,
-    scaled_saturation_point,
-    speedup_curve,
-)
 from repro.analysis.iomodel import (
     collective_benefit_bound,
     request_cost,
@@ -16,12 +8,6 @@ from repro.analysis.iomodel import (
 )
 
 __all__ = [
-    "ScalingFit",
-    "amdahl_fit",
-    "crossover",
-    "parallel_efficiency",
-    "scaled_saturation_point",
-    "speedup_curve",
     "collective_benefit_bound",
     "request_cost",
     "stream_bandwidth",

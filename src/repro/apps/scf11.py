@@ -25,7 +25,7 @@ The three versions match the paper's (V) axis:
   iteration.  The paper notes real users switched to this version at
   large processor counts, where the I/O version "performs very poorly" —
   the disk-vs-direct crossover is itself an architectural-balance story
-  (see ``benchmarks/test_ablation_disk_vs_direct.py``).
+  (the ``fig_direct`` experiment).
 """
 
 from __future__ import annotations

@@ -167,8 +167,9 @@ def _cmd_list() -> int:
     from repro.experiments import registry
 
     print("Reproducible artifacts (paper table/figure -> experiment id):")
+    width = max(map(len, registry.EXPERIMENTS))
     for exp_id, exp in registry.EXPERIMENTS.items():
-        print(f"  {exp_id:8s} {exp.title}")
+        print(f"  {exp_id:{width}s} {exp.title}")
     return 0
 
 

@@ -6,7 +6,7 @@ section as a sweep of simulator points folded into an
 :class:`~repro.experiments.results.ExperimentResult` whose ``checks``
 encode the paper's qualitative claims (orderings, crossovers, bands).
 ``quick=True`` runs a scaled-down configuration for test suites;
-``quick=False`` runs the paper-scale configuration (benchmarks).
+``quick=False`` runs the paper-scale configuration (``repro run``).
 """
 
 from repro.experiments.results import ExperimentResult, Series, ascii_chart

@@ -82,6 +82,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "Figure 2: optimized-vs-unoptimized across processor counts.",
         scf11_exps.fig2_points, scf11_exps.fig2_run_point,
         scf11_exps.fig2_assemble),
+    "fig_direct": Experiment(
+        "Section 5: disk-based vs direct (recompute) SCF 1.1 across "
+        "processor counts.",
+        scf11_exps.fig_direct_points, scf11_exps.fig2_run_point,
+        scf11_exps.fig_direct_assemble),
     "fig3": Experiment(
         "Figure 3: effect of the I/O-node count on SCF 1.1.",
         scf11_exps.fig3_points, scf11_exps.fig3_run_point,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Series", "ExperimentResult", "ascii_chart"]
+__all__ = ["Series", "crossover", "ExperimentResult", "ascii_chart"]
 
 
 @dataclass
@@ -47,6 +47,21 @@ class Series:
     def from_dict(cls, data: Dict[str, object]) -> "Series":
         return cls(label=str(data["label"]),
                    points=[(float(x), float(y)) for x, y in data["points"]])
+
+
+def crossover(a: Sequence[Tuple[float, float]],
+              b: Sequence[Tuple[float, float]]) -> Optional[float]:
+    """Smallest common x where curve ``b`` drops below curve ``a``.
+
+    Returns None if ``b`` never wins on the shared x grid; raises
+    ``ValueError`` if the curves share no x value.  Figure 2 asks it of
+    optimized/16 I/O nodes (a) against unoptimized/64 (b).
+    """
+    ya, yb = dict(a), dict(b)
+    shared = sorted(ya.keys() & yb.keys())
+    if not shared:
+        raise ValueError("curves share no x values")
+    return next((x for x in shared if yb[x] < ya[x]), None)
 
 
 @dataclass

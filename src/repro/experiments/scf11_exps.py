@@ -1,4 +1,4 @@
-"""SCF 1.1 experiments: Tables 2/3 and Figures 1-3.
+"""SCF 1.1 experiments: Tables 2/3, Figures 1-3 and §5 disk vs direct.
 
 Each figure is a sweep: ``*_points`` declares its configurations,
 ``*_run_point`` simulates one and ``*_assemble`` folds the payloads into
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps.scf11 import SCF11Config, SCF11_INPUTS, run_scf11
-from repro.experiments.results import ExperimentResult, Series
+from repro.experiments.results import ExperimentResult, Series, crossover
 from repro.experiments.shared import shared
 from repro.machine.params import KB
 from repro.machine.presets import paragon_large
@@ -22,6 +22,7 @@ from repro.trace import IOOp, IOSummary, summarize
 __all__ = ["ConfigTuple", "FIG1_TUPLES", "run_tuple", "table2", "table3",
            "fig1_points", "fig1_run_point", "fig1_assemble",
            "fig2_points", "fig2_run_point", "fig2_assemble",
+           "fig_direct_points", "fig_direct_assemble",
            "fig3_points", "fig3_run_point", "fig3_assemble"]
 
 #: Version letter -> SCF11Config.version
@@ -259,7 +260,10 @@ def fig2_points(quick: bool = False) -> List[dict]:
 
 
 def fig2_run_point(point: dict) -> dict:
-    """Simulate one Figure-2 configuration; returns a JSON-able payload."""
+    """Simulate one Figure-2 (or ``fig_direct``) configuration.
+
+    Returns the point plus its execution time, a JSON-able payload.
+    """
     run = _scaling_run(point["n_basis"], point["version"], point["n_io"],
                        point["p"], point["measured_read_iters"])
     return {**point, "exec_time": run.exec_time}
@@ -300,21 +304,77 @@ def fig2_assemble(point_results: Sequence[dict],
             "unoptimized/64io wins at 256 procs (architectural imbalance)",
             unopt64.y_at(big_p) < opt16.y_at(big_p))
         # Locate the crossover: the paper puts it at ~64 processors.
-        crossover = None
-        for p in procs:
-            if unopt64.y_at(p) < opt16.y_at(p):
-                crossover = p
-                break
+        cross = crossover(opt16.points, unopt64.points)
         exp.add_check(
             "opt-16io -> unopt-64io crossover lies in the 16..128 band "
             "(paper: ~64)",
-            crossover is not None and 16 <= crossover <= 128)
+            cross is not None and 16 <= cross <= 128)
         exp.notes.append(f"first processor count where unopt/64io beats "
-                         f"opt/16io: {crossover}")
+                         f"opt/16io: {_procs(cross)}")
     exp.add_check("opt 64io is the best configuration up to 64 procs",
                   all(exp.series_by_label("opt 64io").y_at(p)
                       <= min(s.y_at(p) for s in exp.series) * 1.02
                       for p in procs if p <= 64))
+    return exp
+
+
+def _procs(p: Optional[float]) -> Optional[int]:
+    """A processor count read back off a series, printed as an int."""
+    return None if p is None else int(p)
+
+
+#: (series label, SCF11Config.version) for the disk-vs-direct sweep.
+_DIRECT_VARIANTS = [("disk 16io", "prefetch"), ("direct", "direct")]
+
+
+def fig_direct_points(quick: bool = False) -> List[dict]:
+    """Figure 2's grid at 16 I/O nodes, disk-based and direct versions.
+
+    The disk-based points are the runs of Figure 2's "opt 16io" series,
+    shared with it through ``_scaling_run``.
+    """
+    n_basis, procs, miters = _fig2_params(quick)
+    return [{"label": label, "version": version, "n_io": 16, "p": p,
+             "n_basis": n_basis, "measured_read_iters": miters}
+            for label, version in _DIRECT_VARIANTS for p in procs]
+
+
+def fig_direct_assemble(point_results: Sequence[dict],
+                        quick: bool = False) -> ExperimentResult:
+    """Fold the sweep-point payloads into the disk-vs-direct result.
+
+    The paper's §5 claim: SCF 1.1 users ran the disk-based code at small
+    processor counts and switched to the direct (recompute) code at
+    large ones, where the I/O version "performs very poorly" — the I/O
+    nodes saturate while recomputation keeps scaling.
+    """
+    _, procs, _ = _fig2_params(quick)
+    by_point: Dict[Tuple[str, int], dict] = {
+        (r["label"], r["p"]): r for r in point_results}
+    exp = ExperimentResult(
+        exp_id="fig_direct",
+        title="SCF 1.1: disk-based vs direct (recompute) across "
+              "processor counts",
+        paper_reference="§5 [users ran the disk-based code at small "
+                        "processor counts and the direct version at "
+                        "large ones]",
+    )
+    for label, _ in _DIRECT_VARIANTS:
+        s = Series(label)
+        for p in procs:
+            s.add(p, by_point[(label, p)]["exec_time"])
+        exp.series.append(s)
+    disk, direct = exp.series
+    small_p, big_p = procs[0], procs[-1]
+    cross = crossover(disk.points, direct.points)
+    exp.add_check("disk-based wins at the smallest processor count",
+                  disk.y_at(small_p) < direct.y_at(small_p))
+    exp.add_check("direct wins at the largest processor count",
+                  direct.y_at(big_p) < disk.y_at(big_p))
+    exp.add_check(f"disk -> direct crossover lies in the 16..{big_p} band",
+                  cross is not None and 16 <= cross <= big_p)
+    exp.notes.append(f"first processor count where direct beats the "
+                     f"disk-based code: {_procs(cross)}")
     return exp
 
 

@@ -1,90 +1,14 @@
 """Tests for the analysis helpers, including sim-vs-analytic agreement."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    amdahl_fit,
     collective_benefit_bound,
-    crossover,
-    parallel_efficiency,
     request_cost,
-    scaled_saturation_point,
-    speedup_curve,
     stream_bandwidth,
     strided_penalty,
 )
 from repro.machine.params import DiskParams, NetworkParams
-
-
-class TestSpeedup:
-    def test_perfect_scaling(self):
-        pts = [(1, 100), (2, 50), (4, 25)]
-        assert speedup_curve(pts) == [(1, 1.0), (2, 2.0), (4, 4.0)]
-        eff = parallel_efficiency(pts)
-        assert all(e == pytest.approx(1.0) for _, e in eff)
-
-    def test_sublinear_scaling_efficiency_drops(self):
-        pts = [(1, 100), (4, 50)]
-        eff = dict(parallel_efficiency(pts))
-        assert eff[4] == pytest.approx(0.5)
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_curve([])
-
-    def test_unsorted_input_handled(self):
-        pts = [(4, 25), (1, 100), (2, 50)]
-        assert speedup_curve(pts)[0] == (1, 1.0)
-
-
-class TestCrossover:
-    def test_finds_first_win(self):
-        a = [(4, 10), (16, 8), (64, 7), (256, 7)]
-        b = [(4, 20), (16, 10), (64, 6), (256, 3)]
-        assert crossover(a, b) == 64
-
-    def test_none_when_never_wins(self):
-        a = [(1, 1), (2, 1)]
-        b = [(1, 2), (2, 2)]
-        assert crossover(a, b) is None
-
-    def test_disjoint_grids_rejected(self):
-        with pytest.raises(ValueError):
-            crossover([(1, 1)], [(2, 2)])
-
-
-class TestSaturation:
-    def test_detects_flattening(self):
-        pts = [(1, 100), (2, 50), (4, 48), (8, 47)]
-        assert scaled_saturation_point(pts, tolerance=0.10) == 2
-
-    def test_none_when_still_improving(self):
-        pts = [(1, 100), (2, 50), (4, 25)]
-        assert scaled_saturation_point(pts) is None
-
-
-class TestAmdahl:
-    def test_recovers_exact_decomposition(self):
-        serial, parallel = 30.0, 200.0
-        pts = [(p, serial + parallel / p) for p in (1, 2, 4, 8, 16)]
-        fit = amdahl_fit(pts)
-        assert fit.serial == pytest.approx(serial, rel=1e-6)
-        assert fit.parallel == pytest.approx(parallel, rel=1e-6)
-        assert fit.predict(32) == pytest.approx(serial + parallel / 32)
-        assert fit.serial_fraction == pytest.approx(30 / 230)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            amdahl_fit([(1, 10)])
-
-    @given(serial=st.floats(0, 1000), parallel=st.floats(1, 1e5))
-    @settings(max_examples=50, deadline=None)
-    def test_fit_is_exact_on_model_data(self, serial, parallel):
-        pts = [(p, serial + parallel / p) for p in (1, 3, 9, 27)]
-        fit = amdahl_fit(pts)
-        assert fit.serial == pytest.approx(serial, abs=1e-6 * (1 + serial))
-        assert fit.parallel == pytest.approx(parallel, rel=1e-6)
 
 
 class TestIOModel:
@@ -171,6 +95,12 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig5" in out and "table4" in out
+        # Every title starts in one column, however long its id.
+        from repro.experiments.registry import EXPERIMENTS
+        lines = out.splitlines()[1:]
+        titles = [exp.title for exp in EXPERIMENTS.values()]
+        assert len(lines) == len(titles)
+        assert len({line.index(t) for line, t in zip(lines, titles)}) == 1
 
     def test_info_command(self, capsys):
         from repro.cli import main

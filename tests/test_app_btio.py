@@ -143,3 +143,13 @@ class TestEpio:
         vol_e = res_e.trace.aggregate(IOOp.WRITE).nbytes
         vol_c = res_c.trace.aggregate(IOOp.WRITE).nbytes
         assert vol_e == pytest.approx(vol_c, rel=0.05)
+
+    def test_collective_lands_near_epio_at_class_a(self):
+        """Class A on 36 processors: epio bounds collective I/O, which in
+        turn is far below the unoptimized version."""
+        io = {version: run_btio(sp2(36), BTIOConfig(
+                  class_name="A", version=version, measured_dumps=2),
+                  36).io_time
+              for version in ("unoptimized", "collective", "epio")}
+        assert io["epio"] <= 1.2 * io["collective"]
+        assert io["collective"] < 0.2 * io["unoptimized"]

@@ -115,3 +115,33 @@ class TestIOBehaviour:
         assert res.app == "fft"
         assert res.n_procs == 2
         assert res.extra["total_io_bytes"] == 6 * 256 * 256 * 16
+
+    def test_layout_gain_tracks_disk_seek_cost(self):
+        """The layout gain grows with the seek cost and is > 1.2x on the
+        calibrated disk (n=2048, 8 processors, 2 I/O nodes)."""
+        from dataclasses import replace
+
+        from repro.machine.params import MB, DiskParams
+
+        def gain(disk):
+            base = paragon_small(n_compute=8, n_io=2)
+            machine = base.with_(ionode=replace(base.ionode, disk=disk))
+            cfg_kw = dict(n=2048, panel_memory_bytes=1024 * KB)
+            io_u, io_l = (run_fft(machine, FFTConfig(version=v, **cfg_kw),
+                                  8).io_time
+                          for v in ("unoptimized", "layout"))
+            return io_u / io_l
+
+        fast_seek = DiskParams(avg_seek_s=0.001, track_seek_s=0.0002,
+                               rotational_latency_s=0.0005,
+                               transfer_rate=2.4 * MB)
+        calibrated = DiskParams(avg_seek_s=0.018, track_seek_s=0.002,
+                                rotational_latency_s=0.0045,
+                                transfer_rate=2.4 * MB,
+                                controller_overhead_s=0.001)
+        slow_seek = DiskParams(avg_seek_s=0.040, track_seek_s=0.004,
+                               rotational_latency_s=0.008,
+                               transfer_rate=2.4 * MB,
+                               controller_overhead_s=0.001)
+        assert gain(slow_seek) > gain(fast_seek)
+        assert gain(calibrated) > 1.2

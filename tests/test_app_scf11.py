@@ -10,6 +10,7 @@ from repro.apps.scf11 import (
     total_integrals,
 )
 from repro.machine import paragon_large
+from repro.machine.params import KB
 from repro.trace import IOOp
 
 QUICK = SCF11Config(n_basis=SCF11_INPUTS["SMALL"], measured_read_iters=1)
@@ -137,3 +138,29 @@ class TestDirectVersion:
         t_short = run_scf11(paragon_large(4, 12), cfg_short, 4).exec_time
         t_full = run_scf11(paragon_large(4, 12), cfg_full, 4).exec_time
         assert t_short == pytest.approx(t_full, rel=0.01)
+
+
+class TestMediumScaleSensitivity:
+    """SCF 1.1 MEDIUM on 8 processors and 12 I/O nodes (Figure 1's axes)."""
+
+    MEDIUM = SCF11Config(n_basis=SCF11_INPUTS["MEDIUM"],
+                         measured_read_iters=1)
+
+    def test_stripe_unit_64_vs_128_kb_is_second_order(self):
+        """Figure 1 tuples IV/V vs VI/VII: the stripe unit barely matters."""
+        io = [run_scf11(paragon_large(8, 12, stripe_unit=su * KB),
+                        self.MEDIUM.with_(version="passion"), 8).io_time
+              for su in (64, 128)]
+        assert max(io) < 1.6 * min(io)
+
+    def test_one_deep_prefetch_hides_most_read_time(self):
+        """Depth 1 hides most of the read time; depth 8 does no worse."""
+        sync = run_scf11(paragon_large(8, 12),
+                         self.MEDIUM.with_(version="passion"), 8).io_time
+        depth1, depth8 = (
+            run_scf11(paragon_large(8, 12),
+                      self.MEDIUM.with_(version="prefetch",
+                                        prefetch_depth=depth), 8).io_time
+            for depth in (1, 8))
+        assert depth1 < 0.6 * sync
+        assert depth8 <= 1.05 * depth1

@@ -19,7 +19,7 @@ class TestRegistry:
     def test_all_paper_artifacts_registered(self):
         expected = {"table1", "table2", "table3", "table4", "table5",
                     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-                    "fig_faults"}
+                    "fig_direct", "fig_faults"}
         assert set(experiment_ids()) == expected
 
     def test_unknown_experiment_rejected(self):

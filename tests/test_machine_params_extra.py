@@ -97,6 +97,30 @@ class TestIonodeOverrides:
             0: IONodeParams(disk=slow_disk)})
         assert time_read(slow) > 2 * time_read(base)
 
+    def test_one_slow_io_node_drags_a_striped_app(self):
+        """FFT (layout, 8 procs, 4 I/O nodes) with one degraded node: every
+        striped request waits for its slowest extent."""
+        from dataclasses import replace
+
+        from repro.apps.fft2d import FFTConfig, run_fft
+
+        def exec_time(factor):
+            cfg = paragon_small(n_compute=8, n_io=4)
+            if factor != 1:
+                disk = cfg.ionode.disk
+                slow_disk = replace(
+                    disk, transfer_rate=disk.transfer_rate / factor,
+                    avg_seek_s=disk.avg_seek_s * factor)
+                cfg = cfg.with_(ionode_overrides={
+                    0: replace(cfg.ionode, disk=slow_disk)})
+            fft = FFTConfig(n=1024, version="layout",
+                            panel_memory_bytes=512 * KB)
+            return run_fft(cfg, fft, 8).exec_time
+
+        base = exec_time(1)
+        assert exec_time(4) > 1.5 * base
+        assert exec_time(2) > 1.1 * base
+
 
 class TestNetworkParams:
     def test_defaults_sane(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ExperimentResult, Series, ascii_chart
+from repro.experiments.results import crossover
 
 
 class TestSeries:
@@ -28,6 +29,22 @@ class TestSeries:
         assert not s.is_increasing_after(1)
         # A single tail point can't establish a trend.
         assert not s.is_increasing_after(8)
+
+
+class TestCrossover:
+    def test_finds_first_win(self):
+        a = [(4, 10), (16, 8), (64, 7), (256, 7)]
+        b = [(4, 20), (16, 10), (64, 6), (256, 3)]
+        assert crossover(a, b) == 64
+
+    def test_none_when_never_wins(self):
+        a = [(1, 1), (2, 1)]
+        b = [(1, 2), (2, 2)]
+        assert crossover(a, b) is None
+
+    def test_disjoint_grids_rejected(self):
+        with pytest.raises(ValueError):
+            crossover([(1, 1)], [(2, 2)])
 
 
 class TestExperimentResult:

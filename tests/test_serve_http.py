@@ -4,7 +4,7 @@ Each test boots the full serving stack (:class:`ServerThread` on an
 ephemeral port) against toy experiments registered into the live
 registry, and talks to it with the stdlib
 :class:`ServeClient` — the same path the CI smoke job and the
-throughput benchmark use.
+``serve-mix`` benchmark workload use.
 
 The two seeded contract tests required by the serving design:
 

@@ -96,6 +96,25 @@ class TestEdgeCases:
         domains = tp._domains(0, 16 * KB, 4 * KB)
         assert domains[0][1] % (4 * KB) == 0
 
+    def test_stripe_aligned_domains_no_slower_than_byte_domains(
+            self, monkeypatch):
+        """BTIO Class A collective on 36 processors: 32 KB-aligned file
+        domains cost at most 1.25x the I/O time of 1-byte domains."""
+        from repro.apps.btio import BTIOConfig, run_btio
+        from repro.machine import sp2
+
+        init = TwoPhaseIO.__init__
+
+        def io_time(align):
+            monkeypatch.setattr(
+                TwoPhaseIO, "__init__",
+                lambda self, comm, align_=None: init(self, comm, align))
+            cfg = BTIOConfig(class_name="A", version="collective",
+                             measured_dumps=2)
+            return run_btio(sp2(36), cfg, 36).io_time
+
+        assert io_time(32 * KB) <= 1.25 * io_time(1)
+
     def test_tuple_requests_accepted(self):
         """Plain (offset, nbytes) tuples coerce to IORequest."""
         machine, fs, comm, interface = _setup(2)
