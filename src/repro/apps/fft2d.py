@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.apps.base import AppMetadata, AppResult
 from repro.iolib.passion import Layout, OutOfCoreArray, PassionIO
@@ -39,6 +37,9 @@ from repro.machine.machine import Machine, MachineConfig
 from repro.machine.params import MB
 from repro.mp.comm import Communicator
 from repro.trace import TraceCollector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FFTConfig", "METADATA", "run_fft", "fft_flops"]
 
@@ -117,19 +118,20 @@ def _my_slices(total: int, width: int, rank: int, size: int):
         start = stop
 
 
-def _fft_pass(rank, comm, config, array, node, timed, functional_axis=None):
+def _fft_pass(rank, comm, config, array, node, timed):
     """One out-of-core 1-D FFT pass over ``array`` in column panels.
 
-    ``functional_axis`` selects the transform axis for real data (0 for
-    columns); None skips the numeric transform (timing mode).
+    Functional runs transform the real data along the columns; timing
+    runs only move the bytes.
     """
     w = config.panel_width
     for c0, c1 in _my_slices(array.cols, w, rank, comm.size):
         tile = yield from timed(array.read_tile(0, array.rows, c0, c1))
         yield from node.compute(fft_flops(config, c1 - c0))
         data = None
-        if functional_axis is not None and isinstance(tile, np.ndarray):
-            data = np.fft.fft(tile, axis=functional_axis)
+        if config.functional:
+            import numpy as np
+            data = np.fft.fft(tile, axis=0)
         yield from timed(array.write_tile(0, array.rows, c0, c1, data))
     yield from comm.barrier(rank)
 
@@ -147,7 +149,7 @@ def _transpose_unoptimized(rank, comm, config, a, b, node, timed):
             continue
         tile = yield from timed(a.read_tile(r0, r1, c0, c1))
         yield from node.memcpy((r1 - r0) * (c1 - c0) * _ITEMSIZE)
-        data = tile.T.copy() if isinstance(tile, np.ndarray) else None
+        data = tile.T.copy() if config.functional else None
         yield from timed(b.write_tile(c0, c1, r0, r1, data))
     yield from comm.barrier(rank)
 
@@ -159,7 +161,7 @@ def _transpose_layout(rank, comm, config, a, b, node, timed):
     for j0, j1 in _my_slices(n, w, rank, comm.size):
         tile = yield from timed(a.read_tile(0, n, j0, j1))
         yield from node.memcpy(n * (j1 - j0) * _ITEMSIZE)
-        data = tile.T.copy() if isinstance(tile, np.ndarray) else None
+        data = tile.T.copy() if config.functional else None
         yield from timed(b.write_tile(j0, j1, 0, n, data))
     yield from comm.barrier(rank)
 
@@ -187,8 +189,7 @@ def _rank_program(rank: int, comm: Communicator, config: FFTConfig,
     b = OutOfCoreArray(fb, n, n, itemsize=_ITEMSIZE, layout=b_layout)
 
     # Step 1: column FFT over A.
-    yield from _fft_pass(rank, comm, config, a, node, timed,
-                         functional_axis=0 if config.functional else None)
+    yield from _fft_pass(rank, comm, config, a, node, timed)
     # Step 2: out-of-core transpose A -> B.
     if config.version == "layout":
         yield from _transpose_layout(rank, comm, config, a, b, node, timed)
@@ -204,13 +205,11 @@ def _rank_program(rank: int, comm: Communicator, config: FFTConfig,
         for r0, r1 in _my_slices(n, w, rank, comm.size):
             tile = yield from timed(b.read_tile(r0, r1, 0, n))
             yield from node.compute(fft_flops(config, r1 - r0))
-            yield from timed(b.write_tile(r0, r1, 0, n,
-                                          tile if isinstance(tile, np.ndarray)
-                                          else None))
+            data = tile if config.functional else None
+            yield from timed(b.write_tile(r0, r1, 0, n, data))
         yield from comm.barrier(rank)
     else:
-        yield from _fft_pass(rank, comm, config, b, node, timed,
-                             functional_axis=0 if config.functional else None)
+        yield from _fft_pass(rank, comm, config, b, node, timed)
 
     yield from timed(fa.close())
     yield from timed(fb.close())
@@ -233,6 +232,7 @@ def run_fft(machine_config: MachineConfig, config: FFTConfig,
     trace = TraceCollector(keep_records=config.keep_trace_records)
     interface = PassionIO(fs, trace=trace)
     if config.functional and initial is not None:
+        import numpy as np
         if initial.shape != (config.n, config.n):
             raise ValueError("initial array shape mismatch")
         f = fs.create("fft.A")
@@ -262,6 +262,7 @@ def read_result(result: AppResult, config: FFTConfig) -> np.ndarray:
     For the unoptimized pipeline this is ``fft2(A).T`` (the algorithm
     leaves the result transposed).
     """
+    import numpy as np
     fs = result.extra["fs"]
     f = fs.lookup("fft.B")
     flat = np.frombuffer(

@@ -86,9 +86,7 @@ class InterfaceFile:
         # A file's rank (and hence CPU) is fixed for its lifetime, and the
         # per-call software costs are constants of the interface — resolve
         # them once here instead of on every operation (pread/pwrite run
-        # hundreds of thousands of times per figure point).  The
-        # ``base + syscall`` sums below associate exactly as the running
-        # ``_software_cost`` computation did, so timings stay bit-identical.
+        # hundreds of thousands of times per figure point).
         self._costs = interface.costs
         self._trace = interface.trace
         cpu = interface._cpu_of(rank).cpu
@@ -104,13 +102,6 @@ class InterfaceFile:
     @property
     def name(self) -> str:
         return self.handle.file.name
-
-    def _software_cost(self, base: float, nbytes: int, rank: int) -> float:
-        cpu = self.interface._cpu_of(rank)
-        cost = base + cpu.cpu.syscall_overhead_s
-        if self._costs.buffer_copy and nbytes > 0:
-            cost += nbytes / cpu.cpu.memcpy_rate
-        return cost
 
     # -- positioned operations ------------------------------------------------
     def seek(self, offset: int):

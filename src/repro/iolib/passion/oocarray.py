@@ -13,11 +13,12 @@ array row-major makes both sides contiguous.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.iolib.base import InterfaceFile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Layout", "OutOfCoreArray"]
 
@@ -117,9 +118,12 @@ class OutOfCoreArray:
         return total
 
     # -- functional data marshalling ------------------------------------------------
+    # Only functional files reach these, so numpy is imported here rather
+    # than at module level: a timing-mode process never loads it.
     @property
     def dtype(self):
         """numpy dtype for functional tiles (8 → float64, 16 → complex128)."""
+        import numpy as np
         if self.itemsize == 8:
             return np.float64
         if self.itemsize == 16:
@@ -129,6 +133,7 @@ class OutOfCoreArray:
             f"not {self.itemsize}")
 
     def _assemble(self, chunks: List[bytes], r0, r1, c0, c1) -> np.ndarray:
+        import numpy as np
         tile = np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
         dtype = self.dtype
         if self.layout is Layout.COLUMN_MAJOR:
@@ -151,6 +156,7 @@ class OutOfCoreArray:
 
     def _disassemble(self, data: np.ndarray, r0, r1, c0, c1,
                      n_requests: int) -> List[Optional[bytes]]:
+        import numpy as np
         expected = (r1 - r0, c1 - c0)
         if data.shape != expected:
             raise ValueError(f"tile shape {data.shape} != {expected}")

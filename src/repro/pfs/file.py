@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.pfs.striping import StripeMap
 
@@ -54,14 +51,6 @@ class PFile:
         self._ensure(offset + nbytes)
         return bytes(self._data[offset:offset + nbytes])
 
-    def as_array(self, dtype=np.float64) -> np.ndarray:
-        """View the whole functional backing as a flat numpy array."""
-        if not self.functional:
-            raise RuntimeError(f"file {self.name!r} has no data backing")
-        usable = (len(self._data) // np.dtype(dtype).itemsize
-                  ) * np.dtype(dtype).itemsize
-        return np.frombuffer(bytes(self._data[:usable]), dtype=dtype)
-
     def extend_to(self, end: int) -> None:
         """Grow the recorded size (timing mode bookkeeping)."""
         if end > self.size:
@@ -70,18 +59,6 @@ class PFile:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "functional" if self.functional else "timing"
         return f"<PFile {self.name!r} size={self.size} {mode}>"
-
-
-@dataclass
-class HandleStats:
-    """Per-handle I/O counters (feeds the Pablo-style tracer)."""
-
-    reads: int = 0
-    writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    read_time: float = 0.0
-    write_time: float = 0.0
 
 
 class FileHandle:
@@ -97,7 +74,6 @@ class FileHandle:
         self.fs = fs
         self.file = file
         self.rank = rank
-        self.stats = HandleStats()
         self.closed = False
 
     def _check_open(self) -> None:
@@ -111,12 +87,8 @@ class FileHandle:
         Returns the payload bytes in functional mode, else ``nbytes``.
         """
         self._check_open()
-        start = self.fs.env.now
         yield from self.fs._transfer(self, offset, nbytes, write=False,
                                      data=None)
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self.stats.read_time += self.fs.env.now - start
         if self.file.functional:
             return self.file.read_payload(offset, nbytes)
         return nbytes
@@ -130,15 +102,11 @@ class FileHandle:
         self._check_open()
         if data is not None and len(data) != nbytes:
             raise ValueError("data length does not match nbytes")
-        start = self.fs.env.now
         yield from self.fs._transfer(self, offset, nbytes, write=True,
                                      data=data)
         if self.file.functional and data is not None:
             self.file.write_payload(offset, data)
         self.file.extend_to(offset + nbytes)
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self.stats.write_time += self.fs.env.now - start
         return nbytes
 
     def close(self) -> None:

@@ -22,7 +22,8 @@ exception) is deterministic and never retried.  Each worker keeps a
 traceback) that the parent appends to a crashed job's error.
 
 ``jobs <= 1`` runs ``run`` inline on the calling thread and ``submit``
-on one thread the executor owns: no isolation, no timeout.  The jobs of
+on one thread the executor owns: no isolation, no timeout, and no
+:mod:`multiprocessing` import, which waits for the first fork.  The jobs of
 one ``run`` call share one :func:`~repro.experiments.shared.shared_runs`
 scope per worker (Figure 7 reuses Figure 6's runs, say; a job served
 that way reports an ``elapsed_s`` near zero); each ``submit`` is its own
@@ -34,7 +35,6 @@ from __future__ import annotations
 import faulthandler
 import functools
 import itertools
-import multiprocessing as mp
 import os
 import queue as queue_mod
 import random
@@ -52,7 +52,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 from repro.experiments.shared import shared_runs
 from repro.runner.jobs import JobSpec, execute_job
 
-if TYPE_CHECKING:  # concurrent.futures is imported lazily: it is slow
+if TYPE_CHECKING:  # both are imported lazily: they are slow
+    import multiprocessing as mp
     from concurrent.futures import Future
 
 __all__ = ["JobOutcome", "PoolExecutor", "RETRYABLE_STATUSES",
@@ -169,12 +170,7 @@ class PoolExecutor:
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self._rand = rand
-        if context is None:
-            try:
-                context = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                context = mp.get_context()
-        self._ctx = context
+        self._ctx = context   # None: fork, resolved by _Pool
         self._lock = threading.Lock()
         self._pool = None   # a _Pool, or a one-thread pool if jobs <= 1
         self._close_pool = None
@@ -287,6 +283,13 @@ class _Pool:
         self.backoff_s = owner.backoff_s
         self.rand = owner._rand
         self.ctx = owner._ctx
+        if self.ctx is None:
+            import multiprocessing as mp
+
+            try:
+                self.ctx = mp.get_context("fork")
+            except ValueError:  # pragma: no cover - non-fork platforms
+                self.ctx = mp.get_context()
         self.lock = threading.Lock()
         self.task_q = self.ctx.Queue()
         self.result_q = self.ctx.Queue()

@@ -1,6 +1,5 @@
 """Tests for PFile payload handling and handle bookkeeping."""
 
-import numpy as np
 import pytest
 
 from repro.pfs import PFS, PFile, StripeMap
@@ -33,19 +32,6 @@ class TestPFilePayload:
             f.write_payload(0, b"x")
         with pytest.raises(RuntimeError):
             f.read_payload(0, 1)
-        with pytest.raises(RuntimeError):
-            f.as_array()
-
-    def test_as_array_view(self):
-        f = self._file()
-        data = np.arange(10, dtype=np.float64)
-        f.write_payload(0, data.tobytes())
-        assert np.array_equal(f.as_array(), data)
-
-    def test_as_array_truncates_partial_elements(self):
-        f = self._file()
-        f.write_payload(0, b"\0" * 20)   # 2.5 float64s
-        assert len(f.as_array()) == 2
 
     def test_extend_to_never_shrinks(self):
         f = self._file()

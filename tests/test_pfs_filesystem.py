@@ -135,17 +135,6 @@ class TestDataPath:
             small_machine, [p(fs, 10 * KB), p(fs, 10_000 * KB)])
         assert t_big > t_small
 
-    def test_handle_stats(self, small_machine, functional_fs):
-        def p(fs):
-            h = yield from fs.open("s.dat", 0, create=True)
-            yield from h.write_at(0, 100, b"x" * 100)
-            yield from h.read_at(0, 40)
-            return h.stats
-        stats = run_proc(small_machine, p(functional_fs))
-        assert stats.writes == 1 and stats.bytes_written == 100
-        assert stats.reads == 1 and stats.bytes_read == 40
-        assert stats.read_time > 0 and stats.write_time > 0
-
 
 class TestStripingBehaviour:
     def test_reads_spread_across_io_nodes(self):
