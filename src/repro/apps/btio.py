@@ -202,11 +202,9 @@ def _rank_program(rank: int, comm: Communicator, config: BTIOConfig,
             io_t += env.now - t0
         else:
             for off, nb in runs:
+                # One seek+write call (one generator frame) per run.
                 t0 = env.now
-                yield from f.seek(base + off)
-                # pwrite at the explicit offset: same cost model as
-                # write() but without the pointer-advancing wrapper frame.
-                yield from f.pwrite(base + off, nb)
+                yield from f.seek_write(base + off, nb)
                 io_t += env.now - t0
         yield from comm.barrier(rank)
     phase_info.setdefault("t0", 0.0)

@@ -118,26 +118,37 @@ def _my_slices(total: int, width: int, rank: int, size: int):
         start = stop
 
 
-def _fft_pass(rank, comm, config, array, node, timed):
+# The rank program and its helpers time I/O inline into ``io``, a
+# one-element list shared by all of them (``io[0]`` is the rank's I/O
+# time, summed in call order): a timing wrapper generator would add one
+# frame to every event resume underneath it.
+
+def _fft_pass(rank, comm, config, array, node, io):
     """One out-of-core 1-D FFT pass over ``array`` in column panels.
 
     Functional runs transform the real data along the columns; timing
     runs only move the bytes.
     """
+    env = comm.env
     w = config.panel_width
     for c0, c1 in _my_slices(array.cols, w, rank, comm.size):
-        tile = yield from timed(array.read_tile(0, array.rows, c0, c1))
+        t0 = env.now
+        tile = yield from array.read_tile(0, array.rows, c0, c1)
+        io[0] += env.now - t0
         yield from node.compute(fft_flops(config, c1 - c0))
         data = None
         if config.functional:
             import numpy as np
             data = np.fft.fft(tile, axis=0)
-        yield from timed(array.write_tile(0, array.rows, c0, c1, data))
+        t0 = env.now
+        yield from array.write_tile(0, array.rows, c0, c1, data)
+        io[0] += env.now - t0
     yield from comm.barrier(rank)
 
 
-def _transpose_unoptimized(rank, comm, config, a, b, node, timed):
+def _transpose_unoptimized(rank, comm, config, a, b, node, io):
     """Square-block transpose, both arrays column-major (strided I/O)."""
+    env = comm.env
     n = config.n
     bs = config.block_side
     blocks = []
@@ -147,22 +158,31 @@ def _transpose_unoptimized(rank, comm, config, a, b, node, timed):
     for idx, (r0, r1, c0, c1) in enumerate(blocks):
         if idx % comm.size != rank:
             continue
-        tile = yield from timed(a.read_tile(r0, r1, c0, c1))
+        t0 = env.now
+        tile = yield from a.read_tile(r0, r1, c0, c1)
+        io[0] += env.now - t0
         yield from node.memcpy((r1 - r0) * (c1 - c0) * _ITEMSIZE)
         data = tile.T.copy() if config.functional else None
-        yield from timed(b.write_tile(c0, c1, r0, r1, data))
+        t0 = env.now
+        yield from b.write_tile(c0, c1, r0, r1, data)
+        io[0] += env.now - t0
     yield from comm.barrier(rank)
 
 
-def _transpose_layout(rank, comm, config, a, b, node, timed):
+def _transpose_layout(rank, comm, config, a, b, node, io):
     """Panel transpose into a row-major B (contiguous on both sides)."""
+    env = comm.env
     n = config.n
     w = config.panel_width
     for j0, j1 in _my_slices(n, w, rank, comm.size):
-        tile = yield from timed(a.read_tile(0, n, j0, j1))
+        t0 = env.now
+        tile = yield from a.read_tile(0, n, j0, j1)
+        io[0] += env.now - t0
         yield from node.memcpy(n * (j1 - j0) * _ITEMSIZE)
         data = tile.T.copy() if config.functional else None
-        yield from timed(b.write_tile(j0, j1, 0, n, data))
+        t0 = env.now
+        yield from b.write_tile(j0, j1, 0, n, data)
+        io[0] += env.now - t0
     yield from comm.barrier(rank)
 
 
@@ -171,17 +191,14 @@ def _rank_program(rank: int, comm: Communicator, config: FFTConfig,
     env = comm.env
     node = comm.machine.compute_node(comm.node_of(rank))
     n = config.n
-    io_t = 0.0
+    io = [0.0]
 
-    def timed(gen):
-        nonlocal io_t
-        t0 = env.now
-        result = yield from gen
-        io_t += env.now - t0
-        return result
-
-    fa = yield from timed(interface.open(rank, "fft.A", create=True))
-    fb = yield from timed(interface.open(rank, "fft.B", create=True))
+    t0 = env.now
+    fa = yield from interface.open(rank, "fft.A", create=True)
+    io[0] += env.now - t0
+    t0 = env.now
+    fb = yield from interface.open(rank, "fft.B", create=True)
+    io[0] += env.now - t0
     a = OutOfCoreArray(fa, n, n, itemsize=_ITEMSIZE,
                        layout=Layout.COLUMN_MAJOR)
     b_layout = (Layout.ROW_MAJOR if config.version == "layout"
@@ -189,13 +206,12 @@ def _rank_program(rank: int, comm: Communicator, config: FFTConfig,
     b = OutOfCoreArray(fb, n, n, itemsize=_ITEMSIZE, layout=b_layout)
 
     # Step 1: column FFT over A.
-    yield from _fft_pass(rank, comm, config, a, node, timed)
+    yield from _fft_pass(rank, comm, config, a, node, io)
     # Step 2: out-of-core transpose A -> B.
     if config.version == "layout":
-        yield from _transpose_layout(rank, comm, config, a, b, node, timed)
+        yield from _transpose_layout(rank, comm, config, a, b, node, io)
     else:
-        yield from _transpose_unoptimized(rank, comm, config, a, b, node,
-                                          timed)
+        yield from _transpose_unoptimized(rank, comm, config, a, b, node, io)
     # Step 3: second FFT pass over B.
     if config.version == "layout":
         # Blocked second pass over contiguous row panels of B; the numeric
@@ -203,18 +219,24 @@ def _rank_program(rank: int, comm: Communicator, config: FFTConfig,
         # (see module docstring / DESIGN.md).
         w = config.panel_width
         for r0, r1 in _my_slices(n, w, rank, comm.size):
-            tile = yield from timed(b.read_tile(r0, r1, 0, n))
+            t0 = env.now
+            tile = yield from b.read_tile(r0, r1, 0, n)
+            io[0] += env.now - t0
             yield from node.compute(fft_flops(config, r1 - r0))
             data = tile if config.functional else None
-            yield from timed(b.write_tile(r0, r1, 0, n, data))
+            t0 = env.now
+            yield from b.write_tile(r0, r1, 0, n, data)
+            io[0] += env.now - t0
         yield from comm.barrier(rank)
     else:
-        yield from _fft_pass(rank, comm, config, b, node, timed)
+        yield from _fft_pass(rank, comm, config, b, node, io)
 
-    yield from timed(fa.close())
-    yield from timed(fb.close())
-    io_times[rank] = io_t
-    return io_t
+    for f in (fa, fb):
+        t0 = env.now
+        yield from f.close()
+        io[0] += env.now - t0
+    io_times[rank] = io[0]
+    return io[0]
 
 
 def run_fft(machine_config: MachineConfig, config: FFTConfig,

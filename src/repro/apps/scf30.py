@@ -179,18 +179,16 @@ def _rank_program(rank: int, comm: Communicator, config: SCF30Config,
     my_raw = raw_sizes[rank]
     my_final = final_sizes[rank]
 
+    # I/O generators are timed inline (t0/io_t), as in SCF 1.1: a timing
+    # wrapper generator would add one frame to every event resume
+    # underneath it.
     io_t = 0.0
 
-    def timed(gen):
-        nonlocal io_t
-        t0 = env.now
-        result = yield from gen
-        io_t += env.now - t0
-        return result
-
     # ---- iteration 1: evaluate everything, write the cached fraction ----
-    f_cached = yield from timed(
-        interface.open(rank, f"scf30.ints.{rank}", create=True))
+    t0 = env.now
+    f_cached = yield from interface.open(rank, f"scf30.ints.{rank}",
+                                         create=True)
+    io_t += env.now - t0
     eval_flops = my_ints * config.eval_flops_mean * skew
     write_bytes = my_raw
     # Interleave evaluation with buffered writes, as the real code does.
@@ -200,7 +198,9 @@ def _rank_program(rank: int, comm: Communicator, config: SCF30Config,
     if write_bytes:
         for nbytes in _chunks_of(write_bytes, config.buffer_bytes):
             yield from node.compute(flops_per_chunk)
-            yield from timed(f_cached.seek_write(f_cached.position, nbytes))
+            t0 = env.now
+            yield from f_cached.seek_write(f_cached.position, nbytes)
+            io_t += env.now - t0
     else:
         yield from node.compute(eval_flops)
 
@@ -221,10 +221,14 @@ def _rank_program(rank: int, comm: Communicator, config: SCF30Config,
         inbound = yield from comm.alltoallv(rank, payloads, sizes)
         extra = sum(inbound.values())
         if extra:
-            yield from timed(f_cached.seek_write(f_cached.position, extra))
+            t0 = env.now
+            yield from f_cached.seek_write(f_cached.position, extra)
+            io_t += env.now - t0
         if surplus:
             # Truncation is metadata-only; charge one seek.
-            yield from timed(f_cached.seek(my_final))
+            t0 = env.now
+            yield from f_cached.seek(my_final)
+            io_t += env.now - t0
     yield from comm.barrier(rank)
     phase_info["write_end"] = env.now
     write_io = io_t
@@ -260,7 +264,9 @@ def _rank_program(rank: int, comm: Communicator, config: SCF30Config,
             io_t += pf.accounted_io_time
         yield from comm.barrier(rank)
 
-    yield from timed(f_cached.close())
+    t0 = env.now
+    yield from f_cached.close()
+    io_t += env.now - t0
     factor = config.extrapolation_factor
     io_times[rank] = write_io + (io_t - write_io) * factor
     return io_times[rank]

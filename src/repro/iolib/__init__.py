@@ -20,7 +20,6 @@ from repro.iolib.passion import (
     IORequest,
     Layout,
     OutOfCoreArray,
-    PassionFile,
     PassionIO,
     PrefetchReader,
     TwoPhaseIO,
@@ -39,7 +38,6 @@ __all__ = [
     "IORequest",
     "Layout",
     "OutOfCoreArray",
-    "PassionFile",
     "PassionIO",
     "PrefetchReader",
     "TwoPhaseIO",

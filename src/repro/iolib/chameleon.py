@@ -73,8 +73,7 @@ class ChameleonIO(UnixIO):
         # came in, which is exactly what destroys disk sequentiality.
         written = 0
         for offset, nbytes, payload in all_chunks:
-            yield from file.seek(offset)
-            yield from file.write(nbytes, payload)
+            yield from file.seek_write(offset, nbytes, payload)
             written += nbytes
         yield from self.comm.bcast(rank, None, 16, root=self.master)
         return written

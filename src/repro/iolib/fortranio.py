@@ -22,6 +22,28 @@ __all__ = ["FortranIO", "FortranFile", "RECORD_MARKER_BYTES"]
 RECORD_MARKER_BYTES = 8
 
 
+class FortranFile(InterfaceFile):
+    """Record-oriented view: reads/writes move whole records."""
+
+    def read_record(self, nbytes: int):
+        """Process generator: read one unformatted record of ``nbytes``.
+
+        Record markers ride along with the payload on disk, so the
+        pointer moves past them too.
+        """
+        return self._call(False, None, nbytes,
+                          advance=nbytes + RECORD_MARKER_BYTES)
+
+    def write_record(self, nbytes: int, data=None):
+        """Process generator: write one unformatted record."""
+        return self._call(True, None, nbytes, data,
+                          advance=nbytes + RECORD_MARKER_BYTES)
+
+    def rewind(self):
+        """Process generator: Fortran REWIND."""
+        return self.seek(0)
+
+
 class FortranIO(IOInterface):
     """Fortran unformatted record interface."""
 
@@ -35,29 +57,4 @@ class FortranIO(IOInterface):
         flush_s=0.003,
         buffer_copy=True,
     )
-
-    def open(self, rank, name, create=False, stripe_unit=None):
-        f = yield from super().open(rank, name, create=create,
-                                    stripe_unit=stripe_unit)
-        return FortranFile(self, f.handle, rank)
-
-
-class FortranFile(InterfaceFile):
-    """Record-oriented view: reads/writes move whole records."""
-
-    def read_record(self, nbytes: int):
-        """Process generator: read one unformatted record of ``nbytes``."""
-        data = yield from self.pread(self.position, nbytes)
-        # Record markers ride along with the payload on disk.
-        self.position += nbytes + RECORD_MARKER_BYTES
-        return data
-
-    def write_record(self, nbytes: int, data=None):
-        """Process generator: write one unformatted record."""
-        result = yield from self.pwrite(self.position, nbytes, data)
-        self.position += nbytes + RECORD_MARKER_BYTES
-        return result
-
-    def rewind(self):
-        """Process generator: Fortran REWIND."""
-        yield from self.seek(0)
+    file_class = FortranFile

@@ -1,13 +1,12 @@
 """The PASSION runtime: efficient interface, two-phase collective I/O,
 prefetching, out-of-core arrays."""
 
-from repro.iolib.passion.runtime import PassionFile, PassionIO
+from repro.iolib.passion.runtime import PassionIO
 from repro.iolib.passion.twophase import IORequest, TwoPhaseIO, merge_intervals
 from repro.iolib.passion.prefetch import PrefetchReader
 from repro.iolib.passion.oocarray import Layout, OutOfCoreArray
 
 __all__ = [
-    "PassionFile",
     "PassionIO",
     "IORequest",
     "TwoPhaseIO",

@@ -6,14 +6,16 @@ Fortran record machinery.  Per-call software cost drops by an order of
 magnitude and no payload staging copy is made.  The calling convention is
 explicit-offset: every access is a (cheap) seek plus a transfer, which is
 why the paper's Table 3 shows ~604 000 seeks where the original trace
-(Table 2) had ~1 000 — at a tiny per-seek cost.
+(Table 2) had ~1 000 — at a tiny per-seek cost.  Files are plain
+:class:`~repro.iolib.base.InterfaceFile` objects; the convention is their
+``seek_read``/``seek_write``.
 """
 
 from __future__ import annotations
 
-from repro.iolib.base import InterfaceCosts, IOInterface, InterfaceFile
+from repro.iolib.base import InterfaceCosts, IOInterface
 
-__all__ = ["PassionIO", "PassionFile"]
+__all__ = ["PassionIO"]
 
 
 class PassionIO(IOInterface):
@@ -29,26 +31,3 @@ class PassionIO(IOInterface):
         flush_s=0.001,
         buffer_copy=False,
     )
-
-    def open(self, rank, name, create=False, stripe_unit=None):
-        f = yield from super().open(rank, name, create=create,
-                                    stripe_unit=stripe_unit)
-        return PassionFile(self, f.handle, rank)
-
-
-class PassionFile(InterfaceFile):
-    """File with PASSION's explicit seek-then-transfer convention."""
-
-    def seek_read(self, offset: int, nbytes: int):
-        """Process generator: explicit seek followed by a read."""
-        yield from self.seek(offset)
-        result = yield from self.pread(offset, nbytes)
-        self.position = offset + nbytes
-        return result
-
-    def seek_write(self, offset: int, nbytes: int, data=None):
-        """Process generator: explicit seek followed by a write."""
-        yield from self.seek(offset)
-        result = yield from self.pwrite(offset, nbytes, data)
-        self.position = offset + nbytes
-        return result

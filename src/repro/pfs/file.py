@@ -64,10 +64,13 @@ class PFile:
 class FileHandle:
     """A client's connection to an open file.
 
-    All timing flows through :meth:`read_at` / :meth:`write_at`, which are
-    process generators: they fan the byte range out into striped extents,
-    drive the request/response messages over the fabric and the disk
-    service at the I/O nodes, and (in functional mode) move real bytes.
+    All timing flows through :meth:`read_at` / :meth:`write_at`, which
+    return the file system's data-path generator
+    (:meth:`~repro.pfs.filesystem.ParallelFileSystem._transfer`): it fans
+    the byte range out into striped extents, drives the request/response
+    messages over the fabric and the disk service at the I/O nodes, and
+    (in functional mode) moves real bytes.  The handle adds no generator
+    frame of its own.
     """
 
     def __init__(self, fs, file: PFile, rank: int):
@@ -76,38 +79,21 @@ class FileHandle:
         self.rank = rank
         self.closed = False
 
-    def _check_open(self) -> None:
-        if self.closed:
-            raise RuntimeError(f"handle to {self.file.name!r} is closed")
-
     # -- data-path generators -------------------------------------------------
     def read_at(self, offset: int, nbytes: int):
         """Process generator: read ``nbytes`` at ``offset``.
 
         Returns the payload bytes in functional mode, else ``nbytes``.
         """
-        self._check_open()
-        yield from self.fs._transfer(self, offset, nbytes, write=False,
-                                     data=None)
-        if self.file.functional:
-            return self.file.read_payload(offset, nbytes)
-        return nbytes
+        return self.fs._transfer(self, offset, nbytes, False, None)
 
     def write_at(self, offset: int, nbytes: int, data: Optional[bytes] = None):
         """Process generator: write ``nbytes`` at ``offset``.
 
         ``data`` is stored when the file is functional (must then match
-        ``nbytes``).
+        ``nbytes``).  Returns ``nbytes``.
         """
-        self._check_open()
-        if data is not None and len(data) != nbytes:
-            raise ValueError("data length does not match nbytes")
-        yield from self.fs._transfer(self, offset, nbytes, write=True,
-                                     data=data)
-        if self.file.functional and data is not None:
-            self.file.write_payload(offset, data)
-        self.file.extend_to(offset + nbytes)
-        return nbytes
+        return self.fs._transfer(self, offset, nbytes, True, data)
 
     def close(self) -> None:
         if not self.closed:

@@ -25,12 +25,12 @@ class ParallelFileSystem:
     """Striped file system over a :class:`~repro.machine.Machine`.
 
     Subclasses fix the platform defaults (stripe unit, spindle fan-out).
-    The core data path is :meth:`_transfer`, used by
-    :class:`~repro.pfs.file.FileHandle`: split the byte range into extents,
-    then for each extent run request message → server disk service →
-    response message, all extents in parallel (this is precisely the
-    parallelism striping buys, and the queueing at shared servers is where
-    contention emerges).
+    The core data path is :meth:`_transfer`, the generator that
+    :class:`~repro.pfs.file.FileHandle`'s ``read_at``/``write_at`` return:
+    split the byte range into extents, then for each extent run request
+    message → server disk service → response message, all extents in
+    parallel (this is precisely the parallelism striping buys, and the
+    queueing at shared servers is where contention emerges).
     """
 
     #: Platform default stripe unit (bytes); overridden by subclasses.
@@ -54,6 +54,9 @@ class ParallelFileSystem:
         self.servers: List[IOServer] = [
             IOServer(machine.io_node(i), i) for i in range(machine.n_io)
         ]
+        #: Fabric address of each I/O node, resolved once for the data path.
+        self._io_addrs: List[int] = [machine.io_address(i)
+                                     for i in range(machine.n_io)]
         self._files: Dict[str, PFile] = {}
         self._next_id = 0
         self._next_region = 0
@@ -185,7 +188,7 @@ class ParallelFileSystem:
         """One extent: request msg → server service → data/ack msg."""
         fabric = self.machine.fabric
         client = handle.rank
-        io_addr = self.machine.io_address(extent.io_index)
+        io_addr = self._io_addrs[extent.io_index]
         server = self.servers[extent.io_index]
         if write:
             # Request+payload to the server, then service, then a tiny ack.
@@ -200,48 +203,70 @@ class ParallelFileSystem:
 
     def _transfer(self, handle: FileHandle, offset: int, nbytes: int,
                   write: bool, data: Optional[bytes]):
-        """Process generator: move a byte range, all extents in parallel."""
+        """Process generator behind :meth:`FileHandle.read_at` and
+        :meth:`FileHandle.write_at`: move a byte range, all extents in
+        parallel.
+
+        The handle's checks run here, when the generator starts.  Returns
+        the payload bytes of a functional read, else ``nbytes``.
+        """
+        file = handle.file
+        if handle.closed:
+            raise RuntimeError(f"handle to {file.name!r} is closed")
+        if data is not None and len(data) != nbytes:
+            raise ValueError("data length does not match nbytes")
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        if nbytes == 0:
-            return
-        if write and self.token_service_s and handle.file.open_count > 1:
-            token = self._token(handle.file.file_id)
-            if token.acquire():
-                try:
-                    yield self.token_service_s
-                finally:
-                    token.release_slot()
+        if nbytes:
+            if write and self.token_service_s and file.open_count > 1:
+                token = self._token(file.file_id)
+                if token.acquire():
+                    try:
+                        yield self.token_service_s
+                    finally:
+                        token.release_slot()
+                else:
+                    with token.request() as slot:
+                        yield slot
+                        yield self.token_service_s
+            extents = file.stripe_map.extents(offset, nbytes)
+            if len(extents) == 1:
+                # Single extent (the common small-request case): run the
+                # extent op in this frame rather than delegating, keeping
+                # the generator chain one level shorter for every event
+                # resume.
+                extent = extents[0]
+                fabric = self.machine.fabric
+                client = handle.rank
+                io_addr = self._io_addrs[extent.io_index]
+                server = self.servers[extent.io_index]
+                if write:
+                    yield from fabric.transfer(
+                        client, io_addr, _REQUEST_MSG_BYTES + extent.length)
+                    yield from server.write_extent(file, extent)
+                    yield from fabric.transfer(io_addr, client,
+                                               _ACK_MSG_BYTES)
+                else:
+                    yield from fabric.transfer(client, io_addr,
+                                               _REQUEST_MSG_BYTES)
+                    yield from server.read_extent(file, extent)
+                    yield from fabric.transfer(io_addr, client,
+                                               extent.length)
             else:
-                with token.request() as slot:
-                    yield slot
-                    yield self.token_service_s
-        extents = handle.file.stripe_map.extents(offset, nbytes)
-        if len(extents) == 1:
-            # Single extent (the common small-request case): run the
-            # extent op in this frame rather than delegating, keeping the
-            # generator chain one level shorter for every event resume.
-            extent = extents[0]
-            fabric = self.machine.fabric
-            client = handle.rank
-            io_addr = self.machine.io_address(extent.io_index)
-            server = self.servers[extent.io_index]
-            if write:
-                yield from fabric.transfer(client, io_addr,
-                                           _REQUEST_MSG_BYTES + extent.length)
-                yield from server.write_extent(handle.file, extent)
-                yield from fabric.transfer(io_addr, client, _ACK_MSG_BYTES)
-            else:
-                yield from fabric.transfer(client, io_addr,
-                                           _REQUEST_MSG_BYTES)
-                yield from server.read_extent(handle.file, extent)
-                yield from fabric.transfer(io_addr, client, extent.length)
-            return
-        # Multi-extent: run the per-extent ops under the lightweight
-        # fan-out (plain sub-generators; falls back to Process-per-extent
-        # whenever the exact-ordering preconditions don't hold).
-        yield fan_out(self.env,
-                      (self._extent_op(handle, e, write) for e in extents))
+                # Multi-extent: run the per-extent ops under the
+                # lightweight fan-out (plain sub-generators; falls back to
+                # Process-per-extent whenever the exact-ordering
+                # preconditions don't hold).
+                yield fan_out(self.env, (self._extent_op(handle, e, write)
+                                         for e in extents))
+        if write:
+            if data is not None and file.functional:
+                file.write_payload(offset, data)
+            file.extend_to(offset + nbytes)
+            return nbytes
+        if file.functional:
+            return file.read_payload(offset, nbytes)
+        return nbytes
 
     def _token(self, file_id: int):
         tok = self._tokens.get(file_id)

@@ -11,21 +11,26 @@ so :meth:`StripeMap.iter_extents` emits each extent with closed-form
 arithmetic — O(extents), one loop iteration per *extent* rather than per
 stripe unit — and :meth:`StripeMap.extents` memoizes whole requests,
 because strided workloads (BTIO, FFT) re-issue the same (offset, nbytes)
-shapes thousands of times.  :meth:`StripeMap.reference_extents` keeps the
-naive unit-by-unit walk as the oracle the parity tests check against.
+shapes thousands of times.  A request inside one stripe unit (AST's 4 KB
+pieces, most BTIO runs) skips both: its single extent is one
+:meth:`StripeMap.locate`-style computation.
+:meth:`StripeMap.reference_extents` keeps the naive unit-by-unit walk as
+the oracle the parity tests check against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 __all__ = ["Extent", "StripeMap"]
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(NamedTuple):
     """One physically contiguous piece of a file range.
+
+    A named tuple rather than a frozen dataclass: extents are built on
+    every simulated request, and frozen-dataclass construction pays one
+    ``object.__setattr__`` per field.
 
     Attributes
     ----------
@@ -156,6 +161,21 @@ class StripeMap:
         physically adjacent are coalesced into a single extent, mirroring
         what the real servers' block layer did.
         """
+        unit = self.stripe_unit
+        within = offset % unit
+        if 0 < nbytes <= unit - within and offset >= 0:
+            # One stripe unit: the same arithmetic as iter_extents' first
+            # iteration, without the memo or the generator.
+            round_, io_index = divmod(offset // unit, self.n_io)
+            local_su, disk_index = divmod(round_, self.disks_per_node)
+            disk_offset = local_su * unit + within
+            remap = self._remap
+            if remap is not None:
+                phys = remap[io_index]
+                if phys != io_index:
+                    disk_offset += (io_index + 1) * _FAILOVER_REGION_BYTES
+                io_index = phys
+            return [Extent(io_index, disk_index, disk_offset, offset, nbytes)]
         key = (offset, nbytes)
         memo = self._memo
         cached = memo.get(key)

@@ -13,6 +13,10 @@ Round-2 fast paths living here (fast kernel only; see
   under a single composite event without allocating a ``Process`` +
   ``Initialize`` pair per child.  Used by multi-extent ``_transfer`` and
   the collective-communication fan-outs.
+* **reusable sleep entries**: a bare-number sleep that cannot run
+  inline pushes the sleeper's own :class:`_Wake` (one per process or
+  fan-out child, allocated on first use) with exactly the heap entry a
+  ``Timeout`` would get, instead of allocating a ``Timeout`` per sleep.
 
 Both are *order-preserving*: the conditions under which they engage
 guarantee the resulting event sequence is identical to the reference
@@ -46,6 +50,28 @@ class Initialize(Event):
         env.schedule(self, URGENT)
 
 
+class _Wake(Event):
+    """Reusable heap entry for the contended ``yield <seconds>`` sleeps of
+    one process or fan-out child on the fast kernel.
+
+    The sleeper pushes it with the ``(wake, NORMAL, sequence)`` entry a
+    fresh ``Timeout`` would get, so the event stream is unchanged.
+    ``callbacks`` holds the sleeper's resume only while an entry is
+    scheduled (the run loop clears it on dispatch): a stored callback
+    would tie sleeper → wake → bound method → sleeper into a cycle that
+    keeps finished processes alive until the cyclic GC runs.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env):
+        self.env = env
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+
+
 class Process(Event):
     """A running generator inside the simulation.
 
@@ -63,7 +89,7 @@ class Process(Event):
     at its current wait point.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_wake", "name")
 
     def __init__(self, env, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
@@ -74,6 +100,8 @@ class Process(Event):
         #: The event this process is currently waiting on (None when running
         #: or finished).
         self._target: Optional[Event] = None
+        #: Reusable sleep entry (fast kernel), allocated on first use.
+        self._wake: Optional[_Wake] = None
         Initialize(env, self)
 
     @property
@@ -117,6 +145,10 @@ class Process(Event):
                         target.callbacks.remove(self._resume)
                     except ValueError:
                         pass
+                    if target is self._wake:
+                        # Its heap entry is still pending: a reused wake
+                        # would let that stale entry resume us later.
+                        self._wake = None
                 self._target = None
             try:
                 if event._ok:
@@ -148,8 +180,10 @@ class Process(Event):
                 # at or before the wake time — the reference kernel's heap
                 # entry for the timeout would be the strict minimum, being
                 # the youngest — advance the clock right here: no Timeout
-                # object, no heap round-trip.  Otherwise materialize the
-                # Timeout, which is what the reference kernel always does.
+                # object, no heap round-trip.  Otherwise push the heap
+                # entry the reference kernel's Timeout would get, on this
+                # process's reusable wake (the reference kernel keeps a
+                # real Timeout).
                 if ((type(next_event) is float or type(next_event) is int)
                         and next_event >= 0):
                     wake = env._now + next_event
@@ -161,9 +195,17 @@ class Process(Event):
                         env._now = wake
                         event = _INIT
                         continue
-                    next_event = Timeout(env, next_event)
-                    next_event.callbacks.append(self._resume)
-                    self._target = next_event
+                    if env._fast:
+                        timer = self._wake
+                        if timer is None:
+                            timer = self._wake = _Wake(env)
+                        timer.callbacks = [self._resume]
+                        env._eid += 1
+                        heappush(q, (wake, NORMAL, env._eid, timer))
+                    else:
+                        timer = Timeout(env, next_event)
+                        timer.callbacks.append(self._resume)
+                    self._target = timer
                     break
                 if type(next_event) is float or type(next_event) is int:
                     exc: BaseException = ValueError(
@@ -242,11 +284,13 @@ class _FanChild:
     """One sub-generator of a :class:`FanOut`; ``resume`` is the callback
     registered on whatever event the child is currently waiting on."""
 
-    __slots__ = ("fan", "gen")
+    __slots__ = ("fan", "gen", "wake")
 
     def __init__(self, fan: "FanOut", gen: Generator):
         self.fan = fan
         self.gen = gen
+        #: Reusable sleep entry, as :attr:`Process._wake`.
+        self.wake: Optional[_Wake] = None
 
     def resume(self, event: Event) -> None:
         self.fan._advance(self, event, False)
@@ -324,18 +368,26 @@ class FanOut(Event):
             if not isinstance(next_event, Event):
                 # Sleep protocol, as in Process._resume — but inline
                 # starts must not advance the clock (see class docstring),
-                # so they always materialize the Timeout.
+                # so they always push the sleep's heap entry.
                 if ((type(next_event) is float or type(next_event) is int)
                         and next_event >= 0):
-                    if not starting:
-                        wake = env._now + next_event
-                        q = env._queue
-                        if (not q or q[0][0] > wake) and env._solo:
-                            env._now = wake
-                            event = _INIT
-                            continue
-                    next_event = Timeout(env, next_event)
-                    next_event.callbacks.append(child.resume)
+                    wake = env._now + next_event
+                    q = env._queue
+                    if not starting and (not q or q[0][0] > wake) \
+                            and env._solo:
+                        env._now = wake
+                        event = _INIT
+                        continue
+                    if env._fast:
+                        timer = child.wake
+                        if timer is None:
+                            timer = child.wake = _Wake(env)
+                        timer.callbacks = [child.resume]
+                        env._eid += 1
+                        heappush(q, (wake, NORMAL, env._eid, timer))
+                    else:
+                        Timeout(env, next_event).callbacks.append(
+                            child.resume)
                     return
                 if type(next_event) is float or type(next_event) is int:
                     exc: BaseException = ValueError(

@@ -19,6 +19,11 @@ class IOOp(enum.Enum):
     FLUSH = "Flush"
     CLOSE = "Close"
 
+    #: Members are singletons, so identity hashing is exact — and it is
+    #: C-level, where ``Enum.__hash__`` is a Python call.  Trace
+    #: aggregates are keyed by op once per simulated I/O call.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -49,7 +49,7 @@ def assert_matches_golden(exp_id: str, quick: bool = True) -> None:
 
         PYTHONPATH=src python - <<'EOF'
         from repro.experiments.registry import run_experiment
-        for exp in ("fig2", "fig4", "fig5", "fig6"):
+        for exp in ("fig1", "fig2", "fig4", "fig5", "fig6", "table4"):
             text = run_experiment(exp, quick=True).to_text()
             open(f"tests/golden/{exp}_quick.txt", "w").write(text + "\n")
         EOF

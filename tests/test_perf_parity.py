@@ -6,7 +6,10 @@ guarded Container grants) must be output-preserving *by construction*:
 these tests assert the rendered figure text of the experiments the
 optimizations target stays byte-identical to the golden copies under
 ``tests/golden/`` (fig2/fig6 recorded from the seed implementation,
-fig4/fig5 from the PR-3 tree before the round-2 fast paths landed).
+fig4/fig5 from the PR-3 tree before the round-2 fast paths landed,
+fig1/table4 before the I/O call chain was folded to one generator frame
+per call: they cover Fortran and PASSION record I/O, AST's small pieces
+and the Chameleon funnel).
 
 The goldens pin the *numbers*; the event-level contract behind them is
 checked by the differential oracle (``repro diff``,
@@ -21,7 +24,8 @@ import pytest
 from tests.conftest import assert_matches_golden
 
 
-@pytest.mark.parametrize("exp_id", ["fig2", "fig4", "fig5", "fig6"])
+@pytest.mark.parametrize("exp_id", ["fig1", "fig2", "fig4", "fig5", "fig6",
+                                    "table4"])
 def test_quick_figure_stdout_matches_golden(exp_id):
     assert_matches_golden(exp_id, quick=True)
 

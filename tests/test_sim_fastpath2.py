@@ -335,3 +335,90 @@ class TestSleepProtocol:
                 return "caught"
 
         assert env.run(env.process(parent())) == "caught"
+
+
+class TestSleepEntries:
+    """Contended bare-number sleeps: the fast kernel pushes each sleeper's
+    reusable wake where the reference kernel pushes a fresh Timeout."""
+
+    @BOTH_KERNELS
+    def test_interrupted_sleep_then_sleep_resumes_once(self, fast):
+        """The heap entry of an interrupted sleep stays queued; it must
+        not resume the process's next sleep early."""
+        env = Environment(fast=fast)
+        log = []
+
+        def sleeper():
+            try:
+                yield 10.0
+                log.append(("slept", env.now))
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield 20.0
+            log.append(("woke", env.now))
+
+        def waker(target):
+            yield 1.0
+            target.interrupt()
+
+        target = env.process(sleeper())
+        env.process(waker(target))
+        env.run(target)
+        env.run()
+        assert log == [("interrupted", 1.0), ("woke", 21.0)]
+        assert env.now == 21.0
+
+    def test_fan_out_child_repeated_contended_sleeps(self):
+        """Two fan-out children whose sleeps keep interleaving: every
+        sleep is contended, and each resumes its child exactly once."""
+        def scenario(env):
+            log = []
+
+            def child(name, delay, n):
+                for i in range(n):
+                    yield delay
+                    log.append((name, i, env.now))
+
+            def parent():
+                yield fan_out(env, [child("a", 1.0, 4),
+                                    child("b", 1.5, 3)])
+                log.append(("joined", env.now))
+
+            env.run(env.process(parent()))
+            return log
+
+        log = _run_both(scenario)
+        assert [e[:2] for e in log if e[0] == "a"] == [("a", i)
+                                                       for i in range(4)]
+        assert [e[:2] for e in log if e[0] == "b"] == [("b", i)
+                                                       for i in range(3)]
+        assert log[-1] == ("joined", 4.5)
+
+    @BOTH_KERNELS
+    def test_finished_process_freed_without_gc(self, fast):
+        """A finished process must not sit in a reference cycle through
+        its wake (process -> wake -> bound resume -> process), or it
+        would live until the cyclic collector runs.  Processes take no
+        weak references (slots), so watch their generators, which only
+        the processes hold."""
+        import gc
+        import weakref
+
+        env = Environment(fast=fast)
+
+        def sleeper(delays):
+            for d in delays:
+                yield d
+
+        gens = [sleeper([1.0, 1.0, 1.0]),
+                sleeper([0.5, 1.0, 1.0])]   # contends with the first
+        refs = [weakref.ref(g) for g in gens]
+        a, b = (env.process(g) for g in gens)
+        del gens
+        gc.disable()
+        try:
+            env.run(env.all_of([a, b]))
+            del a, b
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()

@@ -7,6 +7,9 @@ time, coalescing adjacent pieces like the seed implementation.  These
 tests assert both emit *identical* sequences over seeded randomized
 geometries and the edge cases that matter (zero-length ranges, ranges
 that start/end exactly on unit boundaries, single-spindle coalescing).
+:class:`TestSingleUnitParity` holds :meth:`StripeMap.extents`'s
+closed-form one-unit path to the same oracle, on healthy and failed-over
+(remapped) maps.
 """
 
 import random
@@ -101,6 +104,73 @@ class TestEdgeParity:
             smap.reference_extents(-1, 10)
 
 
+def _random_remap(rng, n_io):
+    """A failover remap: some logical slots sent to surviving nodes."""
+    failed = set(rng.sample(range(n_io), rng.randint(1, n_io - 1)))
+    survivors = [i for i in range(n_io) if i not in failed]
+    return [rng.choice(survivors) if i in failed else i
+            for i in range(n_io)]
+
+
+class TestSingleUnitParity:
+    """:meth:`StripeMap.extents` answers a request inside one stripe unit
+    in closed form, skipping the memo and ``iter_extents``."""
+
+    @staticmethod
+    def assert_single(smap, offset, nbytes):
+        got = smap.extents(offset, nbytes)
+        assert got == smap.reference_extents(offset, nbytes), (
+            f"single-unit mismatch for {smap!r} offset={offset} "
+            f"nbytes={nbytes}")
+        assert len(got) == 1
+        assert not smap._memo       # the closed form bypasses the memo
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("remapped", [False, True])
+    def test_randomized_single_unit_requests(self, seed, remapped):
+        rng = random.Random(0x51E + seed)
+        for _ in range(200):
+            unit = rng.choice([1, 7, KB, 4 * KB, 32 * KB, 64 * KB])
+            n_io = rng.randint(2 if remapped else 1, 16)
+            smap = StripeMap(unit, n_io, rng.randint(1, 4))
+            if remapped:
+                smap.set_remap(_random_remap(rng, n_io))
+            offset = rng.randrange(0, 64 * unit)
+            nbytes = rng.randint(1, unit - offset % unit)
+            self.assert_single(smap, offset, nbytes)
+
+    @pytest.mark.parametrize("n_io,disks", [(1, 1), (1, 3), (3, 1), (4, 2)])
+    def test_unit_edges(self, n_io, disks):
+        unit = 4 * KB
+        smap = StripeMap(unit, n_io, disks)
+        for offset, nbytes in [(0, unit), (0, 1), (unit - 1, 1),
+                               (5 * unit, unit), (7 * unit + 9, unit - 9)]:
+            self.assert_single(smap, offset, nbytes)
+        # One byte past the unit takes the memoized multi-extent path
+        # (except on one spindle, where it coalesces to one extent).
+        assert smap.extents(unit - 1, 2) == smap.reference_extents(unit - 1,
+                                                                   2)
+        assert smap._memo
+
+    def test_single_spindle_failover(self):
+        smap = StripeMap(4 * KB, 1, 1)
+        smap.set_remap([3])
+        self.assert_single(smap, 10 * KB + 5, 100)
+
+    def test_remapped_strided_pieces(self):
+        """AST-style 4 KB pieces over a degraded 4-node file."""
+        smap = StripeMap(64 * KB, 4, 2)
+        smap.set_remap([0, 0, 2, 2])
+        for i in range(64):
+            self.assert_single(smap, 3 * 64 * KB + i * 4 * KB, 4 * KB)
+
+    def test_zero_and_negative_requests_keep_the_general_path(self):
+        smap = StripeMap(4 * KB, 2)
+        assert smap.extents(100, 0) == []
+        with pytest.raises(ValueError):
+            smap.extents(-1, 10)
+
+
 class TestMemo:
     def test_extents_memo_returns_equal_fresh_lists(self):
         smap = StripeMap(64 * KB, 4, 2)
@@ -115,5 +185,5 @@ class TestMemo:
         from repro.pfs.striping import _MEMO_LIMIT
         smap = StripeMap(KB, 2)
         for i in range(_MEMO_LIMIT + 10):
-            smap.extents(i, 10)
-        assert len(smap._memo) <= _MEMO_LIMIT
+            smap.extents(i, 2 * KB)    # multi-unit: the memoized path
+        assert 0 < len(smap._memo) <= _MEMO_LIMIT
