@@ -27,11 +27,12 @@ may simulate ``measured_dumps`` of them and extrapolate.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.base import AppMetadata, AppResult
-from repro.iolib.passion import IORequest, PassionIO, TwoPhaseIO
+from repro.iolib.passion import PassionIO, RunList, TwoPhaseIO
 from repro.iolib.posix import UnixIO
 from repro.machine.machine import Machine, MachineConfig
 from repro.mp.comm import Communicator
@@ -138,8 +139,8 @@ def multipartition_cells(q: int) -> Dict[int, List[Tuple[int, int, int]]]:
     return owners
 
 
-def _rank_runs(config: BTIOConfig, q: int, rank: int) -> List[Tuple[int, int]]:
-    """(offset, nbytes) runs of one rank's cells within a single dump.
+def _rank_runs(config: BTIOConfig, q: int, rank: int) -> RunList:
+    """The runs of one rank's cells within a single dump.
 
     The canonical file layout is component-fastest within a cell point:
     ``offset(x,y,z) = ((z·N + y)·N + x) · 5 · 8``.  A run is one x-line
@@ -150,7 +151,8 @@ def _rank_runs(config: BTIOConfig, q: int, rank: int) -> List[Tuple[int, int]]:
     ys = split_axis(n, q)
     zs = split_axis(n, q)
     cells = multipartition_cells(q)[rank]
-    runs: List[Tuple[int, int]] = []
+    offsets = array("q")
+    lengths = array("q")
     line = _COMPONENTS * _REAL
     for cx, cy, cz in cells:
         x0, x1 = xs[cx]
@@ -159,9 +161,9 @@ def _rank_runs(config: BTIOConfig, q: int, rank: int) -> List[Tuple[int, int]]:
         nbytes = (x1 - x0) * line
         for z in range(z0, z1):
             for y in range(y0, y1):
-                offset = ((z * n + y) * n + x0) * line
-                runs.append((offset, nbytes))
-    return runs
+                offsets.append(((z * n + y) * n + x0) * line)
+                lengths.append(nbytes)
+    return RunList(offsets, lengths)
 
 
 def _rank_program(rank: int, comm: Communicator, config: BTIOConfig,
@@ -182,7 +184,7 @@ def _rank_program(rank: int, comm: Communicator, config: BTIOConfig,
     f = yield from interface.open(rank, fname, create=True)
     io_t += env.now - t0
     twophase = TwoPhaseIO(comm) if config.version == "collective" else None
-    my_bytes = sum(nb for _, nb in runs)
+    my_bytes = sum(runs.lengths)
 
     cells_flops = (config.grid ** 3 / P) * config.flops_per_cell_step
     dumps = config.dumps_to_run()
@@ -191,9 +193,10 @@ def _rank_program(rank: int, comm: Communicator, config: BTIOConfig,
         yield from node.compute(cells_flops * config.dump_interval)
         base = dump * config.dump_bytes
         if config.version == "collective":
-            reqs = [IORequest(base + off, nb) for off, nb in runs]
+            dump_runs = RunList([base + off for off in runs.offsets],
+                                runs.lengths)
             t0 = env.now
-            yield from twophase.collective_write(rank, f, reqs)
+            yield from twophase.collective_write(rank, f, dump_runs)
             io_t += env.now - t0
         elif config.version == "epio":
             # One large append of this rank's cells to its private file.
@@ -201,7 +204,7 @@ def _rank_program(rank: int, comm: Communicator, config: BTIOConfig,
             yield from f.pwrite(dump * my_bytes, my_bytes)
             io_t += env.now - t0
         else:
-            for off, nb in runs:
+            for off, nb in zip(runs.offsets, runs.lengths):
                 # One seek+write call (one generator frame) per run.
                 t0 = env.now
                 yield from f.seek_write(base + off, nb)

@@ -22,6 +22,7 @@ from repro.iolib.passion import (
     OutOfCoreArray,
     PassionIO,
     PrefetchReader,
+    RunList,
     TwoPhaseIO,
     merge_intervals,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "OutOfCoreArray",
     "PassionIO",
     "PrefetchReader",
+    "RunList",
     "TwoPhaseIO",
     "merge_intervals",
 ]

@@ -254,9 +254,8 @@ class ParallelFileSystem:
                                                extent.length)
             else:
                 # Multi-extent: run the per-extent ops under the
-                # lightweight fan-out (plain sub-generators; falls back to
-                # Process-per-extent whenever the exact-ordering
-                # preconditions don't hold).
+                # lightweight fan-out (plain sub-generators on the fast
+                # kernel; a Process per extent on the reference kernel).
                 yield fan_out(self.env, (self._extent_op(handle, e, write)
                                          for e in extents))
         if write:

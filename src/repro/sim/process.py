@@ -11,14 +11,16 @@ Round-2 fast paths living here (fast kernel only; see
   in a single resume.
 * :class:`FanOut` / :func:`fan_out`: run N sub-generators to completion
   under a single composite event without allocating a ``Process`` +
-  ``Initialize`` pair per child.  Used by multi-extent ``_transfer`` and
-  the collective-communication fan-outs.
+  ``Initialize`` pair per child: the children start inline, or from one
+  deferred start entry where the reference kernel would pop its N
+  ``Initialize`` entries.  Used by multi-extent ``_transfer`` and the
+  collective-communication fan-outs.
 * **reusable sleep entries**: a bare-number sleep that cannot run
   inline pushes the sleeper's own :class:`_Wake` (one per process or
   fan-out child, allocated on first use) with exactly the heap entry a
   ``Timeout`` would get, instead of allocating a ``Timeout`` per sleep.
 
-Both are *order-preserving*: the conditions under which they engage
+All are *order-preserving*: the conditions under which they engage
 guarantee the resulting event sequence is identical to the reference
 kernel's (heap-entry-for-heap-entry, up to a uniform shift of the
 sequence counter where whole entries are elided).  The differential
@@ -293,31 +295,34 @@ class _FanChild:
         self.wake: Optional[_Wake] = None
 
     def resume(self, event: Event) -> None:
-        self.fan._advance(self, event, False)
+        self.fan._advance(self, event)
 
 
 class FanOut(Event):
     """Composite event that drives N sub-generators to completion.
 
-    The order-preserving replacement for
-    ``AllOf(env, [Process(env, g) for g in gens])`` on hot fan-out sites:
-    no ``Process``/``Initialize`` pair per child, no condition bookkeeping.
-    Construct it through :func:`fan_out`, which falls back to the
-    reference shape whenever the preconditions for exact ordering do not
-    hold.
+    The fast kernel's replacement for
+    ``AllOf(env, [Process(env, g) for g in gens])``, the shape the
+    reference kernel builds: no ``Process``/``Initialize`` pair per
+    child, no condition bookkeeping.  Construct it through
+    :func:`fan_out`.
 
     Ordering argument, relative to the reference shape:
 
     * *Start*: the reference pushes one URGENT ``Initialize`` per child
-      and the run loop pops them, in creation order, before anything else
-      at the current instant (:func:`fan_out` guarantees no other URGENT
-      entry is pending at now, and the dispatch is solo).  Starting the
-      children inline in creation order is therefore the same order; the
-      elided entries shift all later sequence numbers uniformly, which
-      preserves every relative comparison.  Inline starts must not
-      advance the clock, so they use a restricted advance (no heap-top
-      coalescing) — child *i* finishing its first segment at a later time
-      than child *i+1* starts would otherwise reorder the start sequence.
+      at the current instant, with consecutive sequence numbers, so the
+      run loop pops them back to back in creation order: nothing pushed
+      meanwhile can sort between them.  The fan-out starts all children
+      at that point in creation order.  When that point is *now* — the
+      dispatch is solo and no other URGENT entry is pending at the
+      current instant — it starts them inline; otherwise it pushes one
+      ``(now, URGENT, sequence)`` start entry where the reference pushes
+      its first ``Initialize``.  The elided entries shift all later
+      sequence numbers uniformly, which preserves every relative
+      comparison.  Starts run with ``_solo`` cleared, as a reference
+      ``Initialize`` dispatch would: no heap-top coalescing, no inline
+      sleep and no synchronous ``Container`` grant, any of which would
+      let child *i* act ahead of siblings that have not started yet.
     * *Completion*: where the reference pushes the child ``Process``
       event, a finished child pushes one relay entry at the identical
       heap position; where ``AllOf._check`` on the last relay would push
@@ -327,24 +332,33 @@ class FanOut(Event):
 
     __slots__ = ("_pending",)
 
-    def __init__(self, env, gens):
+    def __init__(self, env, gens, deferred: bool):
         super().__init__(env)
         children = [_FanChild(self, gen) for gen in gens]
         self._pending = len(children)
         if not children:
-            # Mirror AllOf(env, []) — met immediately.
+            # Mirror AllOf(env, []) — met immediately, no child entries.
             self.succeed(None)
-            return
+        elif deferred:
+            self._push(self._deferred_start, True, children, URGENT)
+        else:
+            self._start(children)
+
+    def _deferred_start(self, start: Event) -> None:
+        """The start entry was popped; its value is the children."""
+        self._start(start._value)
+
+    def _start(self, children) -> None:
+        """Start every child in creation order."""
+        env = self.env
+        solo = env._solo
+        env._solo = False
         for child in children:
-            self._advance(child, _INIT, True)
+            self._advance(child, _INIT)
+        env._solo = solo
 
-    def _advance(self, child: "_FanChild", event, starting: bool) -> None:
-        """Advance one child generator with the outcome of ``event``.
-
-        ``starting`` is True only for the inline starts from
-        ``__init__``, where heap-top coalescing stays off (see class
-        docstring).
-        """
+    def _advance(self, child: "_FanChild", event) -> None:
+        """Advance one child generator with the outcome of ``event``."""
         env = self.env
         gen = child.gen
         send = gen.send
@@ -366,28 +380,21 @@ class FanOut(Event):
                 return
 
             if not isinstance(next_event, Event):
-                # Sleep protocol, as in Process._resume — but inline
-                # starts must not advance the clock (see class docstring),
-                # so they always push the sleep's heap entry.
+                # Sleep protocol, as in Process._resume.
                 if ((type(next_event) is float or type(next_event) is int)
                         and next_event >= 0):
                     wake = env._now + next_event
                     q = env._queue
-                    if not starting and (not q or q[0][0] > wake) \
-                            and env._solo:
+                    if (not q or q[0][0] > wake) and env._solo:
                         env._now = wake
                         event = _INIT
                         continue
-                    if env._fast:
-                        timer = child.wake
-                        if timer is None:
-                            timer = child.wake = _Wake(env)
-                        timer.callbacks = [child.resume]
-                        env._eid += 1
-                        heappush(q, (wake, NORMAL, env._eid, timer))
-                    else:
-                        Timeout(env, next_event).callbacks.append(
-                            child.resume)
+                    timer = child.wake
+                    if timer is None:
+                        timer = child.wake = _Wake(env)
+                    timer.callbacks = [child.resume]
+                    env._eid += 1
+                    heappush(q, (wake, NORMAL, env._eid, timer))
                     return
                 if type(next_event) is float or type(next_event) is int:
                     exc: BaseException = ValueError(
@@ -404,7 +411,7 @@ class FanOut(Event):
                 return
 
             if next_event.callbacks is not None:
-                if not starting and env._solo and not next_event.callbacks:
+                if env._solo and not next_event.callbacks:
                     q = env._queue
                     if q:
                         head = q[0]
@@ -423,15 +430,20 @@ class FanOut(Event):
     def _complete(self, ok: bool, value: Any) -> None:
         """A child generator finished: push its relay entry (the stand-in
         for the reference kernel's child ``Process`` event)."""
+        self._push(self._collect, ok, value, NORMAL)
+
+    def _push(self, callback, ok: bool, value: Any, priority: int) -> None:
+        """Push a bare triggered event at now whose one callback is
+        ``callback``."""
         env = self.env
-        relay = Event.__new__(Event)
-        relay.env = env
-        relay.callbacks = [self._collect]
-        relay._ok = ok
-        relay._value = value
-        relay._defused = False
+        event = Event.__new__(Event)
+        event.env = env
+        event.callbacks = [callback]
+        event._ok = ok
+        event._value = value
+        event._defused = False
         env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, relay))
+        heappush(env._queue, (env._now, priority, env._eid, event))
 
     def _collect(self, relay: Event) -> None:
         """Relay processed — mirror ``AllOf._check`` on a child event."""
@@ -453,26 +465,22 @@ class FanOut(Event):
 def fan_out(env, gens) -> Event:
     """Wait-all event over sub-generators, for ``yield fan_out(env, gens)``.
 
-    Returns a :class:`FanOut` when the exact-ordering preconditions hold:
+    On the fast kernel this is always a :class:`FanOut`.  It starts its
+    children inline when the current dispatch is solo and no URGENT
+    entry is pending at the current instant (the heap minimum would be
+    it, so one probe suffices); otherwise — another callback of the
+    triggering event, a not-yet-started process or an interrupt would
+    run first in the reference kernel — it defers the starts to one
+    URGENT start entry.
 
-    * fast kernel, and the current dispatch is solo (otherwise another
-      callback of the triggering event would, in the reference kernel,
-      run before the children start);
-    * no URGENT entry pending at the current instant (the heap minimum
-      would be it, so one probe suffices) — such an entry is a
-      not-yet-started process or an interrupt that the reference kernel
-      would run before the children's ``Initialize`` entries.
-
-    Otherwise falls back to the reference shape — a spawned
-    :class:`Process` per child under :class:`~repro.sim.events.AllOf` —
-    which is always correct.
+    The reference kernel builds the naive shape, a spawned
+    :class:`Process` per child under :class:`~repro.sim.events.AllOf`:
+    the oracle the fast shape is checked against.
     """
-    gens = list(gens)
+    if not env._fast:
+        return AllOf(env, [Process(env, gen) for gen in gens])
     if env._solo:
         q = env._queue
-        if not q:
-            return FanOut(env, gens)
-        head = q[0]
-        if head[0] > env._now or head[1] != URGENT:
-            return FanOut(env, gens)
-    return AllOf(env, [Process(env, gen) for gen in gens])
+        if not q or q[0][0] > env._now or q[0][1] != URGENT:
+            return FanOut(env, gens, False)
+    return FanOut(env, gens, True)

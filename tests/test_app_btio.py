@@ -53,7 +53,9 @@ class TestDecomposition:
         cfg = BTIOConfig(class_name="W")   # 24^3 grid
         covered = []
         for rank in range(q * q):
-            covered.extend(_rank_runs(cfg, q, rank))
+            runs = _rank_runs(cfg, q, rank)
+            assert runs.payloads is None
+            covered.extend(zip(runs.offsets, runs.lengths))
         covered.sort()
         pos = 0
         for off, nb in covered:

@@ -12,7 +12,8 @@ exactly on a boundary the fast kernel would otherwise coalesce across.
 
 import pytest
 
-from repro.sim import (Container, Environment, FanOut, Interrupt, fan_out)
+from repro.sim import (AllOf, Container, Environment, FanOut, Interrupt,
+                       Process, fan_out)
 
 BOTH_KERNELS = pytest.mark.parametrize("fast", [True, False],
                                        ids=["fast", "reference"])
@@ -294,6 +295,276 @@ class TestFanOut:
             return env.run(env.process(parent()))
 
         assert _run_both(scenario) == 0
+
+
+def _container_op(box, op):
+    """Generator: one Container operation of kind ``op`` (the try_ forms
+    fall back to the event when the synchronous grant is refused)."""
+    if op == "put":
+        yield box.put(1)
+    elif op == "get":
+        yield box.get(1)
+    elif op == "try_put":
+        if not box.try_put(1):
+            yield box.put(1)
+    else:
+        if not box.try_get(1):
+            yield box.get(1)
+
+
+def _released_ranks(env, n_ranks, program, log):
+    """Start ``n_ranks`` processes that wait on one gate event, which a
+    releaser fires at t=1.0: every rank resumes from the same multi-
+    callback (non-solo) dispatch.  The releaser then sleeps 0, a NORMAL
+    entry at the release instant queued ahead of anything the ranks
+    push.  Returns the all-ranks event."""
+    gate = env.event()
+
+    def rank(r):
+        yield gate
+        result = yield from program(r)
+        return result
+
+    def releaser():
+        yield 1.0
+        gate.succeed()
+        yield 0
+        log.append(("releaser", env.now))
+
+    procs = [env.process(rank(r)) for r in range(n_ranks)]
+    env.process(releaser())
+    return env.all_of(procs)
+
+
+class TestFanOutStarts:
+    """Fan-out children start exactly where the reference kernel pops
+    their ``Initialize`` entries: inline under a solo dispatch with no
+    URGENT entry pending at now, else from one deferred start entry."""
+
+    @pytest.mark.parametrize("op", ["put", "get", "try_put", "try_get"])
+    def test_container_op_in_first_segment_waits_for_siblings(
+            self, kernel_diff, op):
+        """A child whose first segment touches a Container must not take
+        the synchronous grant ahead of a sibling that has not started:
+        the reference kernel starts the sibling first."""
+        def builder():
+            env = Environment()
+            box = Container(env, capacity=10, init=5)
+            log = []
+
+            def c0():
+                yield from _container_op(box, op)
+                log.append(("c0", env.now, box.level))
+
+            def c1():
+                log.append(("c1", env.now, box.level))
+                yield 0.5
+                log.append(("c1 slept", env.now))
+
+            def parent():
+                yield fan_out(env, [c0(), c1()])
+                log.append(("joined", env.now))
+
+            env.run(env.process(parent()))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        assert log[0][0] == "c1"
+
+    def test_nested_fan_out_in_first_segment(self, kernel_diff):
+        """A child that fans out before its first yield: the reference
+        starts the grandchildren after every sibling has started."""
+        def builder():
+            env = Environment()
+            log = []
+
+            def grandchild(k, j):
+                log.append(("grandchild", k, j, env.now))
+                yield 0.25
+
+            def child(k):
+                log.append(("child", k, env.now))
+                yield fan_out(env, [grandchild(k, j) for j in range(2)])
+                log.append(("child done", k, env.now))
+
+            def parent():
+                yield fan_out(env, [child(k) for k in range(3)])
+                log.append(("joined", env.now))
+
+            env.run(env.process(parent()))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        assert [e[0] for e in log[:4]] == ["child"] * 3 + ["grandchild"]
+
+    def test_fan_outs_from_barrier_released_ranks(self, kernel_diff):
+        """Every rank issues its fan-out from one multi-callback dispatch,
+        so every start is deferred; children that sleep, hit a shared
+        Container and finish at once must interleave as the reference's
+        per-child processes do."""
+        def builder():
+            env = Environment()
+            box = Container(env, capacity=10)
+            log = []
+
+            def child(r, k):
+                log.append(("start", r, k, env.now))
+                if k == 0:
+                    yield box.put(1)
+                elif k == 1:
+                    yield 0.25 * (r + 1)
+                    yield 0
+                log.append(("end", r, k, env.now, box.level))
+                return (r, k)
+
+            def program(r):
+                fan = fan_out(env, [child(r, k) for k in range(3)])
+                log.append(("issued", r, env.now))
+                yield fan
+                log.append(("joined", r, env.now))
+                yield fan_out(env, [child(r, k) for k in (1, 2)])
+                log.append(("again", r, env.now))
+
+            env.run(_released_ranks(env, 4, program, log))
+            return log, env.now
+
+        kernel_diff(builder)
+
+    def test_fan_out_with_urgent_entry_pending(self, kernel_diff):
+        """A process spawned and an interrupt scheduled just before the
+        fan-out are URGENT entries at now: the reference runs both before
+        the children's Initialize entries."""
+        def builder():
+            env = Environment()
+            log = []
+
+            def other():
+                log.append(("other starts", env.now))
+                yield 0
+
+            def victim():
+                try:
+                    yield 5.0
+                except Interrupt:
+                    log.append(("interrupted", env.now))
+
+            def child(k):
+                log.append(("child", k, env.now))
+                yield 0.5
+                log.append(("child done", k, env.now))
+
+            def parent(target):
+                yield 1.0
+                env.process(other())
+                target.interrupt()
+                yield fan_out(env, [child(k) for k in range(3)])
+                log.append(("joined", env.now))
+
+            env.run(env.process(parent(env.process(victim()))))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        assert [e[0] for e in log[:3]] == ["other starts", "interrupted",
+                                           "child"]
+
+    @pytest.mark.parametrize("released", [False, True],
+                             ids=["inline", "deferred"])
+    def test_child_fails_in_first_segment(self, kernel_diff, released):
+        def builder():
+            env = Environment()
+            log = []
+
+            def bad(r):
+                log.append(("bad", r, env.now))
+                raise KeyError(r)
+                yield  # pragma: no cover - makes this a generator
+
+            def good(r):
+                log.append(("good", r, env.now))
+                yield 0.5
+                log.append(("good done", r, env.now))
+
+            def program(r):
+                try:
+                    yield fan_out(env, [good(r), bad(r), good(r + 10)])
+                except KeyError as exc:
+                    log.append(("caught", exc.args[0], env.now))
+                yield 1.0
+                log.append(("rank done", r, env.now))
+
+            if released:
+                env.run(_released_ranks(env, 3, program, log))
+            else:
+                env.run(env.process(program(0)))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        assert ("caught", 0, 1.0 if released else 0.0) in log
+
+    @pytest.mark.parametrize("released", [False, True],
+                             ids=["inline", "deferred"])
+    def test_empty_generator_list(self, kernel_diff, released):
+        """An empty fan-out is met at once with no start entry, like
+        ``AllOf(env, [])``, wherever it is issued."""
+        def builder():
+            env = Environment()
+            log = []
+
+            def program(r):
+                log.append(("issue", r, env.now))
+                yield fan_out(env, [])
+                log.append(("met", r, env.now))
+                yield 0.25
+                log.append(("after", r, env.now))
+
+            if released:
+                env.run(_released_ranks(env, 3, program, log))
+            else:
+                env.run(env.process(program(0)))
+            return log, env.now
+
+        kernel_diff(builder)
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast", "reference"])
+    def test_fan_out_shape_per_kernel(self, monkeypatch, fast):
+        """The fast kernel never builds a Process for a fan-out (inline,
+        deferred, failing or empty); the reference kernel keeps the
+        AllOf-over-processes oracle shape."""
+        built = []
+        init = Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        env = Environment(fast=fast)
+        shapes, log = [], []
+
+        def child(k):
+            if k == 2:
+                raise KeyError(k)
+            yield 0.5 * k
+
+        def program(r):
+            for gens in ([child(0), child(1)], [], [child(2), child(1)]):
+                fan = fan_out(env, gens)
+                shapes.append(type(fan))
+                try:
+                    yield fan
+                except KeyError:
+                    pass
+
+        env.run(_released_ranks(env, 3, program, log))
+        env.run(env.process(program(3)))
+        # 3 ranks + the releaser + the solo program.
+        if fast:
+            assert set(shapes) == {FanOut}
+            assert len(built) == 5
+        else:
+            assert set(shapes) == {AllOf}
+            assert len(built) == 5 + 4 * 4
 
 
 class TestSleepProtocol:

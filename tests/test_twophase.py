@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.iolib import IORequest, PassionIO, TwoPhaseIO, merge_intervals
+from array import array
+
+from repro.iolib import (IORequest, PassionIO, RunList, TwoPhaseIO,
+                         merge_intervals)
 from repro.machine import Machine, paragon_small
 from repro.mp import Communicator
 from repro.pfs import PFS
@@ -58,6 +61,108 @@ class TestIORequest:
 
     def test_end(self):
         assert IORequest(10, 5).end == 15
+
+
+class TestRunList:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RunList([0, -1], [4, 4])
+        with pytest.raises(ValueError):
+            RunList([0, 8], [4, -4])
+        with pytest.raises(ValueError):
+            RunList([0, 8], [4])
+        with pytest.raises(ValueError):
+            RunList([0, 8], [4, 4], [b"abcd"])
+        with pytest.raises(ValueError):
+            RunList([0, 8], [4, 4], [b"abcd", b"xx"])
+
+    def test_of_normalises_requests_once(self):
+        runs = RunList.of([IORequest(8, 4), (0, 2)])
+        assert runs.offsets == array("q", [8, 0])
+        assert runs.lengths == array("q", [4, 2])
+        assert runs.payloads is None and len(runs) == 2
+        mixed = RunList.of([IORequest(0, 2, b"ab"), (4, 1)])
+        assert mixed.payloads == [b"ab", None]
+        assert RunList.of(runs) is runs
+        with pytest.raises(ValueError):
+            RunList.of([(0, 2, b"abc")])
+
+
+#: Strided runs of 3 ranks: interleaved 700-byte runs with gaps, so
+#: domain boundaries split runs and the owners' spans have holes.
+def _strided(rank, n=9, payloads=False):
+    offsets = [(k * 3 + rank) * 1000 for k in range(n)]
+    data = [bytes([rank * 32 + k + 1]) * 700 for k in range(n)]
+    return offsets, [700] * n, (data if payloads else None)
+
+
+def _as_requests(rank, payloads=False):
+    offsets, lengths, data = _strided(rank, payloads=payloads)
+    return [IORequest(o, n, None if data is None else data[i])
+            for i, (o, n) in enumerate(zip(offsets, lengths))]
+
+
+def _as_runs(rank, payloads=False):
+    return RunList(*_strided(rank, payloads=payloads))
+
+
+class TestRunListInput:
+    def test_functional_round_trip(self):
+        """Collective write then collective read, both given run lists
+        with payloads, returns the payloads and leaves the holes zero."""
+        P = 3
+        machine = Machine(paragon_small(4, 2))
+        fs = PFS(machine, functional=True)
+        comm = Communicator(machine, P)
+        tp = TwoPhaseIO(comm, align=KB)
+        interface = PassionIO(fs)
+        got = {}
+
+        def program(rank, comm):
+            f = yield from interface.open(rank, "runs.dat", create=True)
+            yield from tp.collective_write(
+                rank, f, _as_runs(rank, payloads=True))
+            got[rank] = yield from tp.collective_read(
+                rank, f, _as_runs(rank))
+
+        machine.env.run(machine.env.all_of(comm.spawn(program)))
+        f = fs.lookup("runs.dat")
+        for rank in range(P):
+            offsets, lengths, data = _strided(rank, payloads=True)
+            assert got[rank] == data
+            for off, payload in zip(offsets, data):
+                assert f.read_payload(off, 700) == payload
+                assert f.read_payload(off + 700, 300) == bytes(300)
+
+    def test_requests_and_run_lists_trace_identically(self):
+        """The same collective given as IORequest lists and as run lists
+        produces identical I/O traces and the same end time."""
+        from repro.sim.diff import capture_trace
+
+        def scenario(make):
+            machine = Machine(paragon_small(4, 2))
+            fs = PFS(machine)
+            comm = Communicator(machine, 3)
+            tp = TwoPhaseIO(comm)
+            interface = PassionIO(fs, trace=TraceCollector())
+            totals = {}
+
+            def program(rank, comm):
+                f = yield from interface.open(rank, "t.dat", create=True)
+                written = yield from tp.collective_write(rank, f, make(rank))
+                read = yield from tp.collective_read(rank, f, make(rank))
+                totals[rank] = (written, read)
+
+            machine.env.run(machine.env.all_of(comm.spawn(program)))
+            return machine.env.now, totals
+
+        by_requests, by_runs = [], []
+        with capture_trace(by_requests):
+            end_requests = scenario(_as_requests)
+        with capture_trace(by_runs):
+            end_runs = scenario(_as_runs)
+        assert by_requests and by_requests == by_runs
+        assert end_requests == end_runs
 
 
 def _collective(n_ranks, make_requests, functional=True, op="write"):
