@@ -1,14 +1,17 @@
 """Generator-based simulated processes and the lightweight fan-out.
 
-Round-2 fast paths living here (fast kernel only; see
+One resume loop, :meth:`Process._resume`, drives every generator in the
+simulator: processes and fan-out children alike.  It holds the sleep
+protocol, the fast kernel's round-2 fast paths and the error handling;
+a :class:`Process` and a fan-out child differ only in their
+``_finish(ok, value)`` hook.  The fast paths (fast kernel only; see
 :mod:`repro.sim.core` for the kernel-mode contract):
 
-* **heap-top coalescing** in :meth:`Process._resume`: when the event a
-  generator just yielded is the next entry on the heap and the current
-  dispatch is *solo*, the resume loop pops and processes it inline
-  instead of suspending and paying a full run-loop iteration.  Chains of
-  zero/short timeouts — the bulk of per-byte software costs — then run
-  in a single resume.
+* **heap-top coalescing**: when the event a generator just yielded is
+  the next entry on the heap and the current dispatch is *solo*, the
+  resume loop pops and processes it inline instead of suspending and
+  paying a full run-loop iteration.  Chains of zero/short timeouts — the
+  bulk of per-byte software costs — then run in a single resume.
 * :class:`FanOut` / :func:`fan_out`: run N sub-generators to completion
   under a single composite event without allocating a ``Process`` +
   ``Initialize`` pair per child: the children start inline, or from one
@@ -130,9 +133,22 @@ class Process(Event):
         self.env.schedule(interrupt_event, URGENT)
 
     # -- engine plumbing ---------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator finished: trigger this process with its outcome."""
+        self._ok = ok
+        self._value = value
         env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
+
+    def _resume(self, event: Event) -> None:
+        """Advance the generator with the outcome of ``event``.
+
+        The one resume loop of the simulator: fan-out children run on it
+        too, and finish through their own ``_finish`` hook.
+        """
+        env = self.env
+        caller = env._active_process
         env._active_process = self
         generator = self._generator
         send = generator.send
@@ -159,20 +175,11 @@ class Process(Event):
                     # The waited-on event failed; propagate into the process.
                     event._defused = True
                     next_event = generator.throw(event._value)
-            except StopIteration as exc:
-                self._ok = True
-                self._value = exc.value
-                env.schedule(self, NORMAL)
-                break
-            except StopProcess as exc:
-                self._ok = True
-                self._value = exc.value
-                env.schedule(self, NORMAL)
+            except (StopIteration, StopProcess) as exc:
+                self._finish(True, exc.value)
                 break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                env.schedule(self, NORMAL)
+                self._finish(False, exc)
                 break
 
             if not isinstance(next_event, Event):
@@ -184,7 +191,7 @@ class Process(Event):
                 # the youngest — advance the clock right here: no Timeout
                 # object, no heap round-trip.  Otherwise push the heap
                 # entry the reference kernel's Timeout would get, on this
-                # process's reusable wake (the reference kernel keeps a
+                # generator's reusable wake (the reference kernel keeps a
                 # real Timeout).
                 if ((type(next_event) is float or type(next_event) is int)
                         and next_event >= 0):
@@ -209,25 +216,15 @@ class Process(Event):
                         timer.callbacks.append(self._resume)
                     self._target = timer
                     break
+                # A negative delay or a non-event: throw the error in at
+                # the top of the loop, so whatever the generator yields
+                # after catching it is handled as an ordinary yield.
                 if type(next_event) is float or type(next_event) is int:
-                    exc: BaseException = ValueError(
-                        f"negative delay {next_event}")
+                    exc = ValueError(f"negative delay {next_event}")
                 else:
-                    exc = RuntimeError(
-                        f"process {self.name!r} yielded a non-event: "
-                        f"{next_event!r}")
-                try:
-                    generator.throw(exc)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    env.schedule(self, NORMAL)
-                    break
-                except BaseException as err:
-                    self._ok = False
-                    self._value = err
-                    env.schedule(self, NORMAL)
-                    break
+                    exc = RuntimeError(f"process {self.name!r} yielded a "
+                                       f"non-event: {next_event!r}")
+                event = _Outcome(False, exc)
                 continue
 
             if next_event.callbacks is not None:
@@ -258,44 +255,60 @@ class Process(Event):
             # Event already processed: loop immediately with its outcome.
             event = next_event
 
-        env._active_process = None
+        env._active_process = caller
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else "finished"
         return f"<Process {self.name} ({state})>"
 
 
-class _InitSentinel:
-    """A successful no-value event outcome, never scheduled.
+class _Outcome:
+    """The outcome of an event that was never scheduled.
 
-    Used (a) as the first ``send`` into fan-out children, matching what a
-    freshly initialized :class:`Process` would receive from its
-    ``Initialize`` event, and (b) as the outcome handed back after an
-    inline sleep (the ``yield <seconds>`` protocol), matching a
-    ``Timeout`` with no value."""
+    :data:`_INIT`, a success without a value, is sent into a starting
+    fan-out child and after an inline sleep, as an ``Initialize`` or a
+    ``Timeout`` would deliver.  A failed outcome carries the error thrown
+    into a generator that yielded a negative delay or a non-event."""
 
-    __slots__ = ()
-    _ok = True
-    _value = None
+    __slots__ = ("_ok", "_value", "_defused")
+
+    def __init__(self, ok: bool, value: Any):
+        self._ok = ok
+        self._value = value
+        self._defused = False
 
 
-_INIT = _InitSentinel()
+_INIT = _Outcome(True, None)
 
 
 class _FanChild:
-    """One sub-generator of a :class:`FanOut`; ``resume`` is the callback
-    registered on whatever event the child is currently waiting on."""
+    """One sub-generator of a :class:`FanOut`.
 
-    __slots__ = ("fan", "gen", "wake")
+    It runs on :meth:`Process._resume` itself, holding the same state as
+    a process; only its ``_finish`` hook differs: it reports to the
+    fan-out instead of triggering an event.
+    """
+
+    __slots__ = ("env", "_generator", "_target", "_wake", "_fan")
+
+    #: Named in the error raised when the child yields a non-event.
+    name = "fan-out child"
 
     def __init__(self, fan: "FanOut", gen: Generator):
-        self.fan = fan
-        self.gen = gen
+        self.env = fan.env
+        self._generator = gen
+        self._target: Optional[Event] = None
         #: Reusable sleep entry, as :attr:`Process._wake`.
-        self.wake: Optional[_Wake] = None
+        self._wake: Optional[_Wake] = None
+        self._fan = fan
 
-    def resume(self, event: Event) -> None:
-        self.fan._advance(self, event)
+    _resume = Process._resume
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator finished: push the fan-out's relay entry for it,
+        the stand-in for the reference kernel's child ``Process`` event."""
+        fan = self._fan
+        fan._push(fan._collect, ok, value, NORMAL)
 
 
 class FanOut(Event):
@@ -304,8 +317,9 @@ class FanOut(Event):
     The fast kernel's replacement for
     ``AllOf(env, [Process(env, g) for g in gens])``, the shape the
     reference kernel builds: no ``Process``/``Initialize`` pair per
-    child, no condition bookkeeping.  Construct it through
-    :func:`fan_out`.
+    child, no condition bookkeeping.  Each child runs on
+    :meth:`Process._resume`.  The event's value is ``None``.  Construct
+    it through :func:`fan_out`.
 
     Ordering argument, relative to the reference shape:
 
@@ -354,83 +368,8 @@ class FanOut(Event):
         solo = env._solo
         env._solo = False
         for child in children:
-            self._advance(child, _INIT)
+            child._resume(_INIT)
         env._solo = solo
-
-    def _advance(self, child: "_FanChild", event) -> None:
-        """Advance one child generator with the outcome of ``event``."""
-        env = self.env
-        gen = child.gen
-        send = gen.send
-        while True:
-            try:
-                if event._ok:
-                    next_event = send(event._value)
-                else:
-                    event._defused = True
-                    next_event = gen.throw(event._value)
-            except StopIteration as exc:
-                self._complete(True, exc.value)
-                return
-            except StopProcess as exc:
-                self._complete(True, exc.value)
-                return
-            except BaseException as exc:
-                self._complete(False, exc)
-                return
-
-            if not isinstance(next_event, Event):
-                # Sleep protocol, as in Process._resume.
-                if ((type(next_event) is float or type(next_event) is int)
-                        and next_event >= 0):
-                    wake = env._now + next_event
-                    q = env._queue
-                    if (not q or q[0][0] > wake) and env._solo:
-                        env._now = wake
-                        event = _INIT
-                        continue
-                    timer = child.wake
-                    if timer is None:
-                        timer = child.wake = _Wake(env)
-                    timer.callbacks = [child.resume]
-                    env._eid += 1
-                    heappush(q, (wake, NORMAL, env._eid, timer))
-                    return
-                if type(next_event) is float or type(next_event) is int:
-                    exc: BaseException = ValueError(
-                        f"negative delay {next_event}")
-                else:
-                    exc = RuntimeError(
-                        f"fan-out child yielded a non-event: {next_event!r}")
-                try:
-                    gen.throw(exc)
-                except StopIteration as stop:
-                    self._complete(True, stop.value)
-                except BaseException as err:
-                    self._complete(False, err)
-                return
-
-            if next_event.callbacks is not None:
-                if env._solo and not next_event.callbacks:
-                    q = env._queue
-                    if q:
-                        head = q[0]
-                        if head[3] is next_event:
-                            heappop(q)
-                            env._now = head[0]
-                            next_event.callbacks = None
-                            if next_event is env._until:
-                                env._solo = False
-                            event = next_event
-                            continue
-                next_event.callbacks.append(child.resume)
-                return
-            event = next_event
-
-    def _complete(self, ok: bool, value: Any) -> None:
-        """A child generator finished: push its relay entry (the stand-in
-        for the reference kernel's child ``Process`` event)."""
-        self._push(self._collect, ok, value, NORMAL)
 
     def _push(self, callback, ok: bool, value: Any, priority: int) -> None:
         """Push a bare triggered event at now whose one callback is
@@ -462,8 +401,18 @@ class FanOut(Event):
             self.succeed(None)
 
 
+def _no_value(join: Event) -> None:
+    """First callback of the reference kernel's fan-out join: a waiter
+    gets ``None``, as from a :class:`FanOut`, not ``AllOf``'s dict."""
+    if join._ok:
+        join._value = None
+
+
 def fan_out(env, gens) -> Event:
     """Wait-all event over sub-generators, for ``yield fan_out(env, gens)``.
+
+    The event's value is ``None`` on both kernels; a failing child fails
+    it with the child's exception.
 
     On the fast kernel this is always a :class:`FanOut`.  It starts its
     children inline when the current dispatch is solo and no URGENT
@@ -478,7 +427,9 @@ def fan_out(env, gens) -> Event:
     the oracle the fast shape is checked against.
     """
     if not env._fast:
-        return AllOf(env, [Process(env, gen) for gen in gens])
+        join = AllOf(env, [Process(env, gen) for gen in gens])
+        join.callbacks.append(_no_value)
+        return join
     if env._solo:
         q = env._queue
         if not q or q[0][0] > env._now or q[0][1] != URGENT:

@@ -5,9 +5,8 @@ import doctest
 import pytest
 
 import repro.sim
-import repro.workloads.synthetic
 
-MODULES = [repro.sim, repro.workloads.synthetic]
+MODULES = [repro.sim]
 
 
 @pytest.mark.parametrize("module", MODULES,

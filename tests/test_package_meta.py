@@ -22,8 +22,7 @@ class TestPublicAPI:
     @pytest.mark.parametrize("module", [
         "repro.sim", "repro.machine", "repro.pfs", "repro.iolib",
         "repro.mp", "repro.trace", "repro.apps", "repro.experiments",
-        "repro.analysis", "repro.advisor", "repro.workloads",
-        "repro.runner",
+        "repro.analysis", "repro.advisor", "repro.runner",
     ])
     def test_all_exports_resolve(self, module):
         mod = importlib.import_module(module)
@@ -39,8 +38,7 @@ class TestPublicAPI:
     @pytest.mark.parametrize("module", [
         "repro.sim", "repro.machine", "repro.pfs", "repro.iolib",
         "repro.mp", "repro.trace", "repro.apps", "repro.experiments",
-        "repro.analysis", "repro.advisor", "repro.workloads",
-        "repro.cli", "repro.runner", "repro.runner.jobs",
+        "repro.analysis", "repro.advisor", "repro.cli", "repro.runner", "repro.runner.jobs",
         "repro.runner.keys", "repro.runner.store", "repro.runner.executor",
         "repro.runner.progress", "repro.runner.service",
     ])

@@ -1,6 +1,7 @@
 """Tests for the runner's job model and content-addressed keys."""
 
 import json
+import shutil
 
 import pytest
 
@@ -13,11 +14,14 @@ from repro.runner import (
     decompose_many,
     execute_job,
 )
+from repro.runner import keys
 from repro.runner.keys import canonical_json, code_fingerprint, job_key
 from tests.conftest import register_experiment
 
 #: fig2's first quick point key, recorded before tables became one-point
-#: sweeps: figure keys must not move when the experiment model changes.
+#: sweeps, under the version-only fingerprint ``repro-1.0.0``: with the
+#: code part held fixed, figure keys must not move when the experiment
+#: model changes.
 FIG2_QUICK_KEY = \
     "27358bf841a220851b7c1ecc07f21f80be451b08400980ee6d94aacfcf2f5022"
 
@@ -51,8 +55,60 @@ class TestKeys:
         import repro
         assert repro.__version__ in code_fingerprint()
 
-    def test_figure_point_keys_did_not_move(self):
+    def test_figure_point_keys_did_not_move(self, monkeypatch):
+        monkeypatch.setattr(keys, "code_fingerprint", lambda: "repro-1.0.0")
         assert decompose("fig2", quick=True)[0].key == FIG2_QUICK_KEY
+
+
+class TestSourceFingerprint:
+    """The fingerprint hashes the payload-computing packages: an edit
+    there changes every key, an edit elsewhere changes none."""
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        copy = tmp_path / "repro"
+        shutil.copytree(keys._PACKAGE, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(keys, "_PACKAGE", copy)
+        monkeypatch.setattr(keys, "_DIGEST", None)
+        return copy
+
+    @staticmethod
+    def _key_after(edit):
+        """fig2's first quick key after ``edit()``, with the digest
+        recomputed as a new process would compute it."""
+        edit()
+        keys._DIGEST = None
+        return decompose("fig2", quick=True)[0].key
+
+    @pytest.mark.parametrize("path", ["sim/core.py", "trace/collector.py",
+                                      "faults.py"])
+    def test_edit_to_hashed_source_changes_the_key(self, package, path):
+        base = decompose("fig2", quick=True)[0].key
+        target = package / path
+        key = self._key_after(
+            lambda: target.write_text(target.read_text() + "# edit\n"))
+        assert key != base
+
+    def test_new_hashed_module_changes_the_key(self, package):
+        base = decompose("fig2", quick=True)[0].key
+        key = self._key_after(
+            lambda: (package / "sim" / "extra.py").write_text("X = 1\n"))
+        assert key != base
+
+    @pytest.mark.parametrize("path", ["runner/store.py", "cli.py"])
+    def test_edit_outside_hashed_sources_keeps_the_key(self, package, path):
+        base = decompose("fig2", quick=True)[0].key
+        target = package / path
+        key = self._key_after(
+            lambda: target.write_text(target.read_text() + "# edit\n"))
+        assert key == base
+
+    def test_digest_is_computed_once_per_process(self, package):
+        first = code_fingerprint()
+        core = package / "sim" / "core.py"
+        core.write_text(core.read_text() + "# edit\n")
+        assert code_fingerprint() == first
 
 
 class TestDecompose:

@@ -297,6 +297,109 @@ class TestFanOut:
         assert _run_both(scenario) == 0
 
 
+def _caught_error(env, bad):
+    """Yield ``bad`` (a non-event or a negative delay), catch the error
+    thrown back, then wait on an ordinary timeout."""
+    try:
+        yield bad
+    except (RuntimeError, ValueError) as exc:
+        caught = type(exc).__name__
+    value = yield env.timeout(5, value="five")
+    return caught, env.now, value
+
+
+class TestResumeLoop:
+    """Processes and fan-out children run on one resume loop,
+    ``Process._resume``: same error path, same value, same bookkeeping
+    on both kernels."""
+
+    BAD = pytest.mark.parametrize("bad", ["not an event", -1.0],
+                                  ids=["non-event", "negative-delay"])
+
+    @BAD
+    def test_yield_after_caught_error_is_handled(self, kernel_diff, bad):
+        """After catching the error, the generator's next yield is an
+        ordinary yield: it waits on the timeout and gets its value."""
+        def builder():
+            env = Environment()
+            return env.run(env.process(_caught_error(env, bad)))
+
+        result = kernel_diff(builder).fast_result
+        assert result[1:] == (5, "five")
+
+    @BAD
+    def test_fan_out_child_yield_after_caught_error(self, kernel_diff, bad):
+        def builder():
+            env = Environment()
+            log = []
+
+            def child():
+                log.append((yield from _caught_error(env, bad)))
+
+            def parent():
+                yield fan_out(env, [child(), child()])
+                log.append(("joined", env.now))
+
+            env.run(env.process(parent()))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        assert [entry[1:] for entry in log[:2]] == [(5, "five")] * 2
+        assert log[2] == ("joined", 5)
+
+    @BOTH_KERNELS
+    def test_uncaught_non_event_fails_the_process(self, fast):
+        env = Environment(fast=fast)
+
+        def prog():
+            yield "not an event"
+
+        with pytest.raises(RuntimeError, match="yielded a non-event"):
+            env.run(env.process(prog()))
+
+    @pytest.mark.parametrize("n_children", [0, 1, 2])
+    def test_fan_out_value_is_none(self, kernel_diff, n_children):
+        def builder():
+            env = Environment()
+
+            def child(k):
+                yield 0.5 * k
+                return k
+
+            def parent():
+                value = yield fan_out(
+                    env, [child(k) for k in range(n_children)])
+                return value, env.now
+
+            return env.run(env.process(parent()))
+
+        value, _ = kernel_diff(builder).fast_result
+        assert value is None
+
+    @BOTH_KERNELS
+    def test_active_process_is_parent_after_inline_starts(self, fast):
+        env = Environment(fast=fast)
+        seen = []
+
+        def child():
+            seen.append(("child", env.active_process is parent))
+            yield 0.5
+
+        def prog():
+            fan = fan_out(env, [child(), child()])
+            seen.append(("issued", env.active_process is parent))
+            yield fan
+            seen.append(("joined", env.active_process is parent))
+
+        parent = env.process(prog())
+        env.run(parent)
+        # The fast kernel starts the children inline, from the parent's
+        # frame; the reference kernel starts them as processes later.
+        assert ("issued", True) in seen and ("joined", True) in seen
+        assert ("child", True) not in seen
+        assert env.active_process is None
+
+
 def _container_op(box, op):
     """Generator: one Container operation of kind ``op`` (the try_ forms
     fall back to the event when the synchronous grant is refused)."""
