@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
-A small, dependency-free generator-based engine in the SimPy style:
-:class:`Environment` owns the clock and event heap; :class:`Process` wraps a
-generator that yields :class:`Event` objects to wait on; resources model
-queueing points (disk arms, links, buffers).
+A small, dependency-free generator-based engine in the SimPy style,
+holding what the simulator uses: :class:`Environment` owns the clock and
+event heap; :class:`Process` wraps a generator that yields
+:class:`Event` objects (or bare-number sleeps) to wait on; :func:`fan_out`
+and :class:`AllOf` join several; resources model queueing points (disk
+arms, links, buffers).
 
 Example
 -------
@@ -18,21 +20,10 @@ Example
 """
 
 from repro.sim.core import Environment, default_fast, set_default_fast
-from repro.sim.events import Event, Timeout, AnyOf, AllOf, Condition, PENDING
+from repro.sim.events import Event, Timeout, AllOf, PENDING
 from repro.sim.process import Process, FanOut, fan_out
-from repro.sim.resources import (
-    Resource,
-    PriorityResource,
-    Request,
-    Store,
-    Container,
-)
-from repro.sim.exceptions import (
-    SimulationError,
-    EmptySchedule,
-    Interrupt,
-    StopProcess,
-)
+from repro.sim.resources import Resource, Request, Store, Container
+from repro.sim.exceptions import SimulationError, EmptySchedule
 
 __all__ = [
     "Environment",
@@ -42,18 +33,13 @@ __all__ = [
     "FanOut",
     "fan_out",
     "Timeout",
-    "AnyOf",
     "AllOf",
-    "Condition",
     "PENDING",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "Container",
     "SimulationError",
     "EmptySchedule",
-    "Interrupt",
-    "StopProcess",
 ]

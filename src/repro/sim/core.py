@@ -15,11 +15,11 @@ Kernel modes
 Every :class:`Environment` runs in one of two kernels:
 
 * the **fast kernel** (the default): the inlined ``run(until=<event>)``
-  loop plus the round-2 fast paths — heap-top event coalescing inside
-  :meth:`Process._resume <repro.sim.process.Process._resume>`, the
-  lightweight :class:`~repro.sim.process.FanOut` primitive, and the
-  order-preserving synchronous grants of
-  :class:`~repro.sim.resources.Container`;
+  loop plus the fast paths of :mod:`repro.sim.process` — the inline
+  sleep, the reusable sleep entries and the lightweight
+  :class:`~repro.sim.process.FanOut` — and the order-preserving
+  synchronous grants of :meth:`Container.try_put
+  <repro.sim.resources.Container.try_put>` / ``try_get``;
 * the **reference kernel** (``fast=False``): :meth:`run` drives the
   simulation one :meth:`step` at a time and every fast path above is
   disabled, so events take the naive spawn/queue/wake route.
@@ -30,16 +30,13 @@ module-level default is flipped by :func:`set_default_fast` (used by the
 differential harness) so experiment code — which constructs its own
 environments internally — picks the kernel up without plumbing.
 
-Fast-loop dispatch protocol (relied on by the fast paths):
-
-* ``_solo`` is True exactly while the fast run loop is dispatching an
-  event that has a *single* callback.  Only then may that callback
-  consume further heap-top events inline, because nothing else is
-  pending at the current instant.  :meth:`Environment.step` clears it,
-  so every fast path is off outside the inlined loop.
-* ``_until`` is the stop event of a ``run(until=<event>)`` call; inline
-  consumers that process it must stop coalescing so the loop can exit
-  exactly where the reference kernel would.
+Fast-loop dispatch protocol (relied on by the fast paths): ``_solo`` is
+True exactly while the fast run loop is dispatching an event that has a
+*single* callback and is not the stop event.  Only then may that
+callback act ahead of the heap (sleep inline, start fan-out children
+inline, take a synchronous grant), and only when nothing else is pending
+at the current instant.  :meth:`Environment.step` clears it, so every
+fast path is off outside the inlined loop.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout, AnyOf, AllOf, NORMAL
+from repro.sim.events import Event, Timeout, AllOf, NORMAL
 from repro.sim.exceptions import EmptySchedule
 from repro.sim.process import Process
 
@@ -55,8 +52,6 @@ __all__ = ["Environment", "default_fast", "set_default_fast"]
 
 #: Sort key layout for heap entries: (time, priority, sequence, event)
 _HeapEntry = Tuple[float, int, int, Event]
-
-_INF = float("inf")
 
 #: Kernel picked by environments constructed with ``fast=None``.
 _DEFAULT_FAST = True
@@ -100,8 +95,6 @@ class Environment:
         self._fast = _DEFAULT_FAST if fast is None else bool(fast)
         #: True while the fast run loop dispatches a single-callback event.
         self._solo = False
-        #: Stop event of the current ``run(until=<event>)`` call.
-        self._until: Optional[Event] = None
 
     # -- clock & introspection ---------------------------------------------
     @property
@@ -119,10 +112,6 @@ class Environment:
         """The process currently executing (None between events)."""
         return self._active_process
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else _INF
-
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:
         """Create a new untriggered :class:`Event`."""
@@ -135,10 +124,6 @@ class Environment:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events) -> Event:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     def all_of(self, events) -> Event:
         """Event that fires when all of ``events`` have fired."""
@@ -219,7 +204,6 @@ class Environment:
         queue = self._queue
         pop = heappop
         stop = until
-        self._until = stop
         try:
             while stop.callbacks is not None:
                 if not queue:
@@ -230,9 +214,9 @@ class Environment:
                 event.callbacks = None
                 if len(callbacks) == 1 and event is not stop:
                     # Dispatching the stop event itself must not be
-                    # solo: its callback could otherwise coalesce
-                    # heap-top events past the stop point, which the
-                    # reference kernel leaves unprocessed.
+                    # solo: its callback could otherwise sleep inline
+                    # past the stop point, where the reference kernel
+                    # leaves the wake entry unprocessed.
                     self._solo = True
                     callbacks[0](event)
                 else:
@@ -242,7 +226,6 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
-            self._until = None
             self._solo = False
         if stop._ok:
             return stop._value

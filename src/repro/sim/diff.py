@@ -1,10 +1,10 @@
 """Differential oracle: run a workload on both kernels and compare.
 
 The fast kernel (:mod:`repro.sim.core`) is only allowed to be fast
-because every one of its shortcuts — heap-top coalescing, inline sleeps,
-:class:`~repro.sim.process.FanOut`, the guarded synchronous grants of
-:class:`~repro.sim.resources.Container` — is *order-preserving*: the
-event stream it produces must be identical, record for record and
+because every one of its shortcuts — inline sleeps, reusable sleep
+entries, :class:`~repro.sim.process.FanOut`, the guarded synchronous
+grants of ``Container.try_put`` / ``try_get`` — is *order-preserving*:
+the event stream it produces must be identical, record for record and
 timestamp for timestamp, to the reference kernel's.  This module checks
 that contract empirically:
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, List, Optional
 
-__all__ = ["PENDING", "Event", "Timeout", "AnyOf", "AllOf", "Condition"]
+__all__ = ["PENDING", "Event", "Timeout", "AllOf"]
 
 
 class _Pending:
@@ -94,9 +94,9 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        Waiting processes will have ``exception`` thrown into them.  If no
-        process ever waits on a failed event, the environment re-raises the
-        exception at processing time unless the event is *defused*.
+        Waiting processes will have ``exception`` thrown into them, which
+        *defuses* the event.  If no process or join ever waits on it, the
+        environment re-raises the exception at processing time.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -109,32 +109,10 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, self))
-
-    def defused(self) -> "Event":
-        """Mark a failed event as handled so the environment won't re-raise."""
-        self._defused = True
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-    # -- composition ------------------------------------------------------
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -164,22 +142,19 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class Condition(Event):
-    """Composite event over a list of child events.
+class AllOf(Event):
+    """Composite event met once *all* child events have been processed.
 
-    The ``evaluate`` callable decides when the condition is met: it gets the
-    list of children and the count of processed children and returns a bool.
-    The condition's value is a dict mapping each *triggered* child event to
-    its value at the time the condition fired.
+    Its value is a dict mapping each child event to its value; the first
+    child that fails fails it with the child's exception.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(self, env, evaluate, events):
+    def __init__(self, env, events):
         super().__init__(env)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
         for event in self._events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
@@ -193,30 +168,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(check)
 
-    def _collect_values(self) -> dict:
-        # Only *processed* children count: a Timeout carries its value from
-        # birth, but it hasn't "happened" until the queue processes it.
-        return {e: e._value for e in self._events if e.callbacks is None}
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Condition met once *all* child events have been processed."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, _all_events, events)
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
@@ -225,33 +176,4 @@ class AllOf(Condition):
             event._defused = True
             self.fail(event._value)
         elif self._count == len(self._events):
-            self.succeed({e: e._value for e in self._events
-                          if e.callbacks is None})
-
-
-class AnyOf(Condition):
-    """Condition met once *any* child event has been processed."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, _any_events, events)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed({e: e._value for e in self._events
-                          if e.callbacks is None})
-
-
-def _all_events(events, count) -> bool:
-    return count == len(events)
-
-
-def _any_events(events, count) -> bool:
-    return count >= 1
+            self.succeed({e: e._value for e in self._events})

@@ -9,30 +9,3 @@ class SimulationError(Exception):
 
 class EmptySchedule(SimulationError):
     """Raised by :meth:`Environment.step` when no events remain."""
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to end it with a return value.
-
-    Equivalent to ``return value`` inside the generator; provided for
-    callers that want to terminate a process from a helper function.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        return self.args[0]

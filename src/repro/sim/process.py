@@ -2,26 +2,24 @@
 
 One resume loop, :meth:`Process._resume`, drives every generator in the
 simulator: processes and fan-out children alike.  It holds the sleep
-protocol, the fast kernel's round-2 fast paths and the error handling;
-a :class:`Process` and a fan-out child differ only in their
+protocol, the fast kernel's fast paths and the error handling; a
+:class:`Process` and a fan-out child differ only in their
 ``_finish(ok, value)`` hook.  The fast paths (fast kernel only; see
 :mod:`repro.sim.core` for the kernel-mode contract):
 
-* **heap-top coalescing**: when the event a generator just yielded is
-  the next entry on the heap and the current dispatch is *solo*, the
-  resume loop pops and processes it inline instead of suspending and
-  paying a full run-loop iteration.  Chains of zero/short timeouts — the
-  bulk of per-byte software costs — then run in a single resume.
+* **inline sleep**: a bare-number sleep under a solo dispatch with
+  nothing scheduled at or before its wake time advances the clock in
+  the resume loop itself, with no heap entry.
+* **reusable sleep entries**: a bare-number sleep that cannot run
+  inline pushes the sleeper's own :class:`_Wake` (one per process or
+  fan-out child, allocated on first use) with exactly the heap entry a
+  ``Timeout`` would get, instead of allocating a ``Timeout`` per sleep.
 * :class:`FanOut` / :func:`fan_out`: run N sub-generators to completion
   under a single composite event without allocating a ``Process`` +
   ``Initialize`` pair per child: the children start inline, or from one
   deferred start entry where the reference kernel would pop its N
   ``Initialize`` entries.  Used by multi-extent ``_transfer`` and the
   collective-communication fan-outs.
-* **reusable sleep entries**: a bare-number sleep that cannot run
-  inline pushes the sleeper's own :class:`_Wake` (one per process or
-  fan-out child, allocated on first use) with exactly the heap entry a
-  ``Timeout`` would get, instead of allocating a ``Timeout`` per sleep.
 
 All are *order-preserving*: the conditions under which they engage
 guarantee the resulting event sequence is identical to the reference
@@ -32,11 +30,10 @@ oracle in :mod:`repro.sim.diff` checks exactly this.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, AllOf, Timeout, PENDING, NORMAL, URGENT
-from repro.sim.exceptions import Interrupt, StopProcess
 
 __all__ = ["Process", "Initialize", "FanOut", "fan_out"]
 
@@ -89,12 +86,9 @@ class Process(Event):
             return "done"
 
         env.process(worker(env))
-
-    Use :meth:`interrupt` to throw an :class:`Interrupt` into the process
-    at its current wait point.
     """
 
-    __slots__ = ("_generator", "_target", "_wake", "name")
+    __slots__ = ("_generator", "_wake", "name")
 
     def __init__(self, env, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
@@ -102,9 +96,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when running
-        #: or finished).
-        self._target: Optional[Event] = None
         #: Reusable sleep entry (fast kernel), allocated on first use.
         self._wake: Optional[_Wake] = None
         Initialize(env, self)
@@ -113,24 +104,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, URGENT)
 
     # -- engine plumbing ---------------------------------------------------
     def _finish(self, ok: bool, value: Any) -> None:
@@ -153,21 +126,6 @@ class Process(Event):
         generator = self._generator
         send = generator.send
         while True:
-            # Detach from the old target: if an interrupt arrived while we
-            # waited, the original target may still fire later; it must not
-            # resume us twice.
-            target = self._target
-            if target is not None:
-                if target.callbacks is not None:
-                    try:
-                        target.callbacks.remove(self._resume)
-                    except ValueError:
-                        pass
-                    if target is self._wake:
-                        # Its heap entry is still pending: a reused wake
-                        # would let that stale entry resume us later.
-                        self._wake = None
-                self._target = None
             try:
                 if event._ok:
                     next_event = send(event._value)
@@ -175,7 +133,7 @@ class Process(Event):
                     # The waited-on event failed; propagate into the process.
                     event._defused = True
                     next_event = generator.throw(event._value)
-            except (StopIteration, StopProcess) as exc:
+            except StopIteration as exc:
                 self._finish(True, exc.value)
                 break
             except BaseException as exc:
@@ -212,9 +170,8 @@ class Process(Event):
                         env._eid += 1
                         heappush(q, (wake, NORMAL, env._eid, timer))
                     else:
-                        timer = Timeout(env, next_event)
-                        timer.callbacks.append(self._resume)
-                    self._target = timer
+                        Timeout(env, next_event).callbacks.append(
+                            self._resume)
                     break
                 # A negative delay or a non-event: throw the error in at
                 # the top of the loop, so whatever the generator yields
@@ -228,29 +185,8 @@ class Process(Event):
                 continue
 
             if next_event.callbacks is not None:
-                # Heap-top coalescing (fast kernel): the yielded event is
-                # already triggered, nobody else waits on it, this dispatch
-                # is solo, and its heap entry is the global minimum — so the
-                # reference kernel's very next action would be to pop it and
-                # resume us.  Do that here without suspending.  Hitting the
-                # run(until=<event>) stop event clears _solo so coalescing
-                # (and the loop) stop exactly where the reference kernel
-                # would.
-                if env._solo and not next_event.callbacks:
-                    q = env._queue
-                    if q:
-                        head = q[0]
-                        if head[3] is next_event:
-                            heappop(q)
-                            env._now = head[0]
-                            next_event.callbacks = None
-                            if next_event is env._until:
-                                env._solo = False
-                            event = next_event
-                            continue
                 # Event still pending or triggered-but-unprocessed: wait.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Event already processed: loop immediately with its outcome.
             event = next_event
@@ -289,15 +225,19 @@ class _FanChild:
     fan-out instead of triggering an event.
     """
 
-    __slots__ = ("env", "_generator", "_target", "_wake", "_fan")
+    __slots__ = ("env", "_generator", "_wake", "_fan")
 
     #: Named in the error raised when the child yields a non-event.
     name = "fan-out child"
 
     def __init__(self, fan: "FanOut", gen: Generator):
+        # The check Process.__init__ makes, without a call per child.
+        try:
+            gen.throw
+        except AttributeError:
+            raise TypeError(f"{gen!r} is not a generator") from None
         self.env = fan.env
         self._generator = gen
-        self._target: Optional[Event] = None
         #: Reusable sleep entry, as :attr:`Process._wake`.
         self._wake: Optional[_Wake] = None
         self._fan = fan
@@ -317,7 +257,7 @@ class FanOut(Event):
     The fast kernel's replacement for
     ``AllOf(env, [Process(env, g) for g in gens])``, the shape the
     reference kernel builds: no ``Process``/``Initialize`` pair per
-    child, no condition bookkeeping.  Each child runs on
+    child, no join bookkeeping.  Each child runs on
     :meth:`Process._resume`.  The event's value is ``None``.  Construct
     it through :func:`fan_out`.
 
@@ -334,13 +274,17 @@ class FanOut(Event):
       its first ``Initialize``.  The elided entries shift all later
       sequence numbers uniformly, which preserves every relative
       comparison.  Starts run with ``_solo`` cleared, as a reference
-      ``Initialize`` dispatch would: no heap-top coalescing, no inline
-      sleep and no synchronous ``Container`` grant, any of which would
-      let child *i* act ahead of siblings that have not started yet.
+      ``Initialize`` dispatch would: no inline sleep, inline fan-out
+      start or synchronous ``Container`` grant, any of which would let
+      child *i* act ahead of siblings that have not started yet.
+    * *Errors*: a non-generator raises ``TypeError`` into the caller
+      while the children are built, before anything is pushed or
+      started, as the reference :func:`fan_out` does before it spawns
+      any ``Process``.
     * *Completion*: where the reference pushes the child ``Process``
       event, a finished child pushes one relay entry at the identical
       heap position; where ``AllOf._check`` on the last relay would push
-      the condition's trigger, :meth:`_collect` pushes this event's.
+      the join's trigger, :meth:`_collect` pushes this event's.
       Entry-for-entry identical.
     """
 
@@ -412,21 +356,26 @@ def fan_out(env, gens) -> Event:
     """Wait-all event over sub-generators, for ``yield fan_out(env, gens)``.
 
     The event's value is ``None`` on both kernels; a failing child fails
-    it with the child's exception.
+    it with the child's exception.  A non-generator in ``gens`` raises
+    ``TypeError`` before any child starts.
 
     On the fast kernel this is always a :class:`FanOut`.  It starts its
     children inline when the current dispatch is solo and no URGENT
     entry is pending at the current instant (the heap minimum would be
     it, so one probe suffices); otherwise — another callback of the
-    triggering event, a not-yet-started process or an interrupt would
-    run first in the reference kernel — it defers the starts to one
-    URGENT start entry.
+    triggering event or a not-yet-started process would run first in
+    the reference kernel — it defers the starts to one URGENT start
+    entry.
 
     The reference kernel builds the naive shape, a spawned
     :class:`Process` per child under :class:`~repro.sim.events.AllOf`:
     the oracle the fast shape is checked against.
     """
     if not env._fast:
+        gens = list(gens)
+        for gen in gens:
+            if not hasattr(gen, "throw"):
+                raise TypeError(f"{gen!r} is not a generator")
         join = AllOf(env, [Process(env, gen) for gen in gens])
         join.callbacks.append(_no_value)
         return join

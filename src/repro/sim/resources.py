@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List
 
 from repro.sim.events import Event, NORMAL, PENDING
 from repro.sim.exceptions import SimulationError
 
-__all__ = ["Request", "Release", "Resource", "PriorityRequest",
-           "PriorityResource", "Store", "Container"]
+__all__ = ["Request", "Resource", "Store", "Container"]
 
 #: Opaque marker held in ``Resource._users`` for slots taken via
 #: :meth:`Resource.acquire` (no Request object exists for those holds).
@@ -49,11 +48,7 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        # The Release event release() returns is always discarded here, so
-        # skip allocating (and scheduling) it: with-block releases are the
-        # hot path — one per disk/NIC/CPU hold, hundreds of thousands per
-        # figure point.
-        self.resource._release_quiet(self)
+        self.resource._release(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request from the wait queue."""
@@ -62,12 +57,6 @@ class Request(Event):
                 self.resource._waiting.remove(self)
             except ValueError:
                 pass
-
-
-class Release(Event):
-    """Immediate-success event returned by :meth:`Resource.release`."""
-
-    __slots__ = ()
 
 
 class Resource:
@@ -130,18 +119,8 @@ class Resource:
         else:
             self._waiting.append(req)
 
-    def release(self, req: Request) -> Release:
-        """Release a previously granted slot.
-
-        Releasing an ungranted (still waiting) request simply cancels it.
-        """
-        self._release_quiet(req)
-        ev = Release(self.env)
-        ev.succeed()
-        return ev
-
-    def _release_quiet(self, req: Request) -> None:
-        """Release without allocating the confirmation event."""
+    def _release(self, req: Request) -> None:
+        """Release a granted slot; cancel a request still waiting."""
         users = self._users
         if req in users:
             users.remove(req)
@@ -161,47 +140,6 @@ class Resource:
             nxt._value = None
             env._eid += 1
             heappush(env._queue, (env._now, NORMAL, env._eid, nxt))
-
-
-class PriorityRequest(Request):
-    """Request with a priority; lower values are served first (FIFO ties)."""
-
-    __slots__ = ("priority", "_seq")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self._seq = resource._next_seq()
-        super().__init__(resource)
-
-    def sort_key(self):
-        return (self.priority, self._seq)
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, env, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            req.succeed()
-        else:
-            self._waiting.append(req)
-            # Keep the deque ordered by (priority, arrival).
-            self._waiting = deque(sorted(
-                self._waiting,
-                key=lambda r: r.sort_key() if isinstance(r, PriorityRequest)
-                else (0, 0)))
 
 
 class StorePut(Event):
@@ -328,10 +266,15 @@ class Container:
     def try_put(self, amount: float) -> bool:
         """Synchronously deposit ``amount`` if the order-preserving grant
         conditions hold, allocating no event at all (the no-event analogue
-        of :meth:`Resource.acquire`).  Returns False — caller must fall
-        back to ``yield container.put(amount)`` — when the put would
-        block, would unblock a waiting getter, or the grant could reorder
-        same-instant events.  Always False on the reference kernel."""
+        of :meth:`Resource.acquire`).
+
+        The grant is taken when the put fits, no getter waits that it
+        could unblock, the dispatch is solo and nothing else is pending
+        at the current instant: the reference kernel's next pop would then
+        be the put event's own ``(now, NORMAL, sequence)`` entry, so
+        granting it here reorders nothing.  Returns False otherwise —
+        the caller must fall back to ``yield container.put(amount)``.
+        Always False on the reference kernel."""
         if amount <= 0:
             raise ValueError("amount must be positive")
         env = self.env
@@ -361,22 +304,6 @@ class Container:
                 f"put of {ev.amount} exceeds capacity {self.capacity}"))
             return
         if self._level + ev.amount <= self.capacity:
-            # Order-preserving synchronous grant (fast kernel): the put
-            # fits, no getter is waiting that it could unblock, the
-            # dispatch is solo and nothing else is pending at the current
-            # instant — so the reference kernel's next pop would be this
-            # very event's (now, NORMAL, next-eid) entry, its FIFO ticket.
-            # Granting it born-processed elides that heap round-trip
-            # without reordering anything (unlike PR 2's unguarded
-            # attempt, which let putters jump same-instant events).
-            env = ev.env
-            if env._solo and not self._getters:
-                q = env._queue
-                if not q or q[0][0] > env._now:
-                    self._level += ev.amount
-                    ev._value = None
-                    ev.callbacks = None
-                    return
             self._level += ev.amount
             ev.succeed()
             self._drain_getters()
@@ -389,15 +316,6 @@ class Container:
                 f"get of {ev.amount} exceeds capacity {self.capacity}"))
             return
         if ev.amount <= self._level:
-            # Mirror of the _do_put synchronous grant; see above.
-            env = ev.env
-            if env._solo and not self._putters:
-                q = env._queue
-                if not q or q[0][0] > env._now:
-                    self._level -= ev.amount
-                    ev._value = None
-                    ev.callbacks = None
-                    return
             self._level -= ev.amount
             ev.succeed()
             self._drain_putters()

@@ -6,9 +6,9 @@ seed, runs it once on each simulation kernel through
 I/O trace (operation, rank, start, duration, bytes, file — bitwise
 float equality) and the final results to be identical.  Fifty seeds of
 the mixed workload cover the fast paths in combination — inline sleeps,
-heap-top coalescing, fan-out, Container grants, write-behind — under
-randomized contention the directed tests in ``test_sim_fastpath2.py``
-can't enumerate.
+reusable sleep entries, inline and deferred fan-out starts, Container
+grants, write-behind — under randomized contention the directed tests
+in ``test_sim_fastpath2.py`` can't enumerate.
 """
 
 import random

@@ -1,55 +1,6 @@
-"""Additional engine tests: event chaining, scheduling order, edge cases."""
+"""Additional engine tests: scheduling order, nested joins, edge cases."""
 
-import pytest
-
-from repro.sim import AllOf, Environment, Event
-
-
-class TestEventChaining:
-    def test_trigger_copies_state(self, env):
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        env.run()
-        assert dst.value == "payload"
-        assert dst.ok
-
-    def test_trigger_copies_failure(self, env):
-        src = env.event()
-        src._ok = False
-        src._value = ValueError("bad")
-        dst = env.event()
-        dst.trigger(src)
-        dst.defused()
-        env.run()
-        assert not dst.ok
-        assert isinstance(dst._value, ValueError)
-
-    def test_trigger_on_triggered_event_raises(self, env):
-        """Regression: trigger() must guard like succeed()/fail() — a second
-        trigger used to silently double-schedule the event."""
-        src = env.event().succeed("first")
-        dst = env.event()
-        dst.trigger(src)
-        with pytest.raises(RuntimeError, match="already been triggered"):
-            dst.trigger(src)
-
-    def test_trigger_after_succeed_raises(self, env):
-        src = env.event().succeed("x")
-        dst = env.event().succeed("y")
-        with pytest.raises(RuntimeError, match="already been triggered"):
-            dst.trigger(src)
-
-    def test_trigger_rejected_event_is_not_double_scheduled(self, env):
-        src = env.event().succeed("v")
-        dst = env.event()
-        dst.trigger(src)
-        with pytest.raises(RuntimeError):
-            dst.trigger(src)
-        seen = []
-        dst.callbacks.append(lambda e: seen.append(e.value))
-        env.run()
-        assert seen == ["v"]  # processed exactly once
+from repro.sim import AllOf, Environment
 
 
 class TestSchedulingOrder:
@@ -93,19 +44,8 @@ class TestNestedConditions:
         env.run(outer)
         assert env.now == 3
 
-    def test_process_waits_on_nested_condition(self, env):
-        def p(env):
-            yield (env.timeout(1) & env.timeout(2)) | env.timeout(10)
-            return env.now
-        assert env.run(env.process(p(env))) == 2
-
 
 class TestEnvironmentEdgeCases:
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(7.0)
-        env.timeout(3.0)
-        assert env.peek() == 3.0
-
     def test_clock_monotone_across_heterogeneous_events(self, env):
         stamps = []
         def p(env):

@@ -1,19 +1,20 @@
-"""Regression tests for the round-2 kernel fast paths.
+"""Regression tests for the fast kernel's fast paths.
 
 Each test runs the same scripted scenario on the fast and the reference
-kernel (explicit ``Environment(fast=...)``) and asserts both the
-expected behaviour and fast/reference equality — the directed
-counterparts of the randomized differential sweeps in
-``test_kernel_diff.py``.  They pin the failure modes the round-2 design
-had to engineer around: wake *ordering* under Container contention,
-double resumes from coalesced timeouts, and ``run(until=...)`` landing
-exactly on a boundary the fast kernel would otherwise coalesce across.
+kernel (explicit ``Environment(fast=...)``, or the ``kernel_diff``
+fixture) and asserts both the expected behaviour and fast/reference
+equality — the directed counterparts of the randomized differential
+sweeps in ``test_kernel_diff.py``.  They pin the failure modes the fast
+paths had to engineer around: wake *ordering* under Container
+contention, sibling order around inline and deferred fan-out starts,
+and ``run(until=...)`` landing exactly on a boundary an inline sleep
+would otherwise run across.
 """
 
 import pytest
 
-from repro.sim import (AllOf, Container, Environment, FanOut, Interrupt,
-                       Process, fan_out)
+from repro.sim import (AllOf, Container, Environment, FanOut, Process,
+                       fan_out)
 
 BOTH_KERNELS = pytest.mark.parametrize("fast", [True, False],
                                        ids=["fast", "reference"])
@@ -125,43 +126,10 @@ class TestContainerOrdering:
 
 
 class TestCoalescedTimeouts:
-    def test_stale_timeout_does_not_double_resume(self):
-        """An interrupt racing a zero-delay timeout chain resumes the
-        process exactly once per wait point."""
-        def scenario(env):
-            log = []
-
-            def sleeper():
-                i = 0
-                try:
-                    for i in range(10):
-                        yield env.timeout(0)
-                        log.append(("tick", i))
-                except Interrupt as intr:
-                    log.append(("interrupted", i, intr.cause))
-                yield 1.0
-                log.append(("done", env.now))
-
-            def waker(target):
-                target.interrupt("stop")
-                return
-                yield  # pragma: no cover
-
-            target = env.process(sleeper())
-            env.process(waker(target))
-            env.run()
-            return log
-
-        log = _run_both(scenario)
-        # Interrupted at the first wait; no tick may appear twice, and the
-        # stale timeout must not resume the sleeper after the interrupt.
-        assert log[0] == ("interrupted", 0, "stop")
-        assert log.count(("done", 1.0)) == 1
-
     def test_zero_timeout_chains_interleave_identically(self):
-        """Two processes ping-ponging zero timeouts: the coalescing guard
-        must refuse whenever the peer's entry is ahead in the heap, so
-        the interleaving matches the reference kernel exactly."""
+        """Two processes ping-ponging zero timeouts: each waits behind
+        the peer's entry at the same instant, so the interleaving
+        matches the reference kernel exactly."""
         def scenario(env):
             log = []
 
@@ -181,8 +149,9 @@ class TestCoalescedTimeouts:
 
 class TestRunUntil:
     def test_until_number_on_coalesced_sleep_boundary(self):
-        """run(until=t) where t is exactly a wake time: the run must stop
-        at t, with the later wake intact."""
+        """run(until=t) where t is exactly a wake time: the run, which
+        steps one event at a time on both kernels, must stop at t with
+        the later wake intact."""
         for fast in (True, False):
             env = Environment(fast=fast)
             log = []
@@ -201,8 +170,9 @@ class TestRunUntil:
             assert log == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_until_event_not_coalesced_past_stop(self):
-        """Dispatching the stop event itself must not let its waiter run
-        past the stop point (the reference kernel halts right there)."""
+        """Dispatching the stop event itself is not solo, so its waiter
+        cannot sleep inline past the stop point (the reference kernel
+        halts right there)."""
         for fast in (True, False):
             env = Environment(fast=fast)
             stop = env.timeout(5.0)
@@ -534,41 +504,73 @@ class TestFanOutStarts:
         kernel_diff(builder)
 
     def test_fan_out_with_urgent_entry_pending(self, kernel_diff):
-        """A process spawned and an interrupt scheduled just before the
-        fan-out are URGENT entries at now: the reference runs both before
-        the children's Initialize entries."""
+        """Two processes spawned just before the fan-out are URGENT
+        entries at now: the reference runs both before the children's
+        Initialize entries, so the fast kernel defers the starts."""
         def builder():
             env = Environment()
             log = []
 
-            def other():
-                log.append(("other starts", env.now))
+            def other(name):
+                log.append((name + " starts", env.now))
                 yield 0
-
-            def victim():
-                try:
-                    yield 5.0
-                except Interrupt:
-                    log.append(("interrupted", env.now))
 
             def child(k):
                 log.append(("child", k, env.now))
                 yield 0.5
                 log.append(("child done", k, env.now))
 
-            def parent(target):
+            def parent():
                 yield 1.0
-                env.process(other())
-                target.interrupt()
+                env.process(other("first"))
+                env.process(other("second"))
                 yield fan_out(env, [child(k) for k in range(3)])
                 log.append(("joined", env.now))
 
-            env.run(env.process(parent(env.process(victim()))))
+            env.run(env.process(parent()))
             return log
 
         log = kernel_diff(builder).fast_result
-        assert [e[0] for e in log[:3]] == ["other starts", "interrupted",
+        assert [e[0] for e in log[:3]] == ["first starts", "second starts",
                                            "child"]
+
+    @pytest.mark.parametrize("released", [False, True],
+                             ids=["inline", "deferred"])
+    @pytest.mark.parametrize("gens", [[42], ["ok", 42]],
+                             ids=["bad", "ok-bad"])
+    def test_non_generator_raises_into_caller(self, kernel_diff, released,
+                                              gens):
+        """A non-generator raises TypeError into the caller when the
+        fan-out is built, before any child (valid ones included) starts,
+        whether the start would be inline or deferred."""
+        def builder():
+            env = Environment()
+            log = []
+
+            def good():
+                log.append(("good starts", env.now))
+                yield 0.5
+
+            def program(r):
+                try:
+                    yield fan_out(env, [good() if g == "ok" else g
+                                        for g in gens])
+                except TypeError as exc:
+                    log.append(("caught", r, str(exc), env.now))
+                yield 1.0
+                log.append(("done", r, env.now))
+
+            if released:
+                procs = _released_ranks(env, 2, program, log)
+            else:
+                procs = env.process(program(0))
+            env.run(procs)
+            return log, env.now
+
+        log = kernel_diff(builder).fast_result[0]
+        assert ("caught", 0, "42 is not a generator", 1.0 if released
+                else 0.0) in log
+        assert not any(e[0] == "good starts" for e in log)
 
     @pytest.mark.parametrize("released", [False, True],
                              ids=["inline", "deferred"])
@@ -714,33 +716,6 @@ class TestSleepProtocol:
 class TestSleepEntries:
     """Contended bare-number sleeps: the fast kernel pushes each sleeper's
     reusable wake where the reference kernel pushes a fresh Timeout."""
-
-    @BOTH_KERNELS
-    def test_interrupted_sleep_then_sleep_resumes_once(self, fast):
-        """The heap entry of an interrupted sleep stays queued; it must
-        not resume the process's next sleep early."""
-        env = Environment(fast=fast)
-        log = []
-
-        def sleeper():
-            try:
-                yield 10.0
-                log.append(("slept", env.now))
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield 20.0
-            log.append(("woke", env.now))
-
-        def waker(target):
-            yield 1.0
-            target.interrupt()
-
-        target = env.process(sleeper())
-        env.process(waker(target))
-        env.run(target)
-        env.run()
-        assert log == [("interrupted", 1.0), ("woke", 21.0)]
-        assert env.now == 21.0
 
     def test_fan_out_child_repeated_contended_sleeps(self):
         """Two fan-out children whose sleeps keep interleaving: every

@@ -1,8 +1,7 @@
-"""Tests for generator processes: lifecycle, returns, interrupts."""
+"""Tests for generator processes: lifecycle, returns, errors."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt, StopProcess
 
 
 class TestLifecycle:
@@ -33,12 +32,6 @@ class TestLifecycle:
         env.run(proc)
         assert env.now == 0
         assert proc.value == 7
-
-    def test_stop_process_exception_sets_value(self, env):
-        def p(env):
-            yield env.timeout(1)
-            raise StopProcess("early exit")
-        assert env.run(env.process(p(env))) == "early exit"
 
     def test_sequential_waits_accumulate_time(self, env):
         def p(env):
@@ -111,79 +104,3 @@ class TestLifecycle:
         env.process(p(env))
         with pytest.raises(IndexError):
             env.run()
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper_with_cause(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-                return "overslept"
-            except Interrupt as i:
-                return ("woken", i.cause, env.now)
-        def waker(env, target):
-            yield env.timeout(7)
-            target.interrupt("alarm")
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        assert env.run(target) == ("woken", "alarm", 7)
-
-    def test_interrupted_process_can_keep_running(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(5)
-            return env.now
-        def waker(env, target):
-            yield env.timeout(2)
-            target.interrupt()
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        assert env.run(target) == 7
-
-    def test_original_target_does_not_resume_twice(self, env):
-        resumed = []
-        def sleeper(env):
-            try:
-                yield env.timeout(10)
-                resumed.append("timeout")
-            except Interrupt:
-                resumed.append("interrupt")
-            yield env.timeout(20)   # outlives the original timeout
-            return resumed
-        def waker(env, target):
-            yield env.timeout(1)
-            target.interrupt()
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        assert env.run(target) == ["interrupt"]
-
-    def test_interrupting_finished_process_raises(self, env):
-        def p(env):
-            yield env.timeout(1)
-        proc = env.process(p(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def p(env, me):
-            yield env.timeout(0)
-            me[0].interrupt()
-        holder = [None]
-        holder[0] = env.process(p(env, holder))
-        with pytest.raises(RuntimeError):
-            env.run(holder[0])
-
-    def test_unhandled_interrupt_fails_the_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100)
-        def waker(env, target):
-            yield env.timeout(1)
-            target.interrupt("die")
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        with pytest.raises(Interrupt):
-            env.run(target)

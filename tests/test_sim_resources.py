@@ -1,9 +1,9 @@
-"""Tests for Resource, PriorityResource, Store, Container."""
+"""Tests for Resource, Store, Container."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Container, Environment, Resource, Store
 from repro.sim.exceptions import SimulationError
 
 
@@ -50,12 +50,13 @@ class TestResource:
     def test_release_of_waiting_request_cancels_it(self, env):
         res = Resource(env, capacity=1)
         held = res.request()   # grabs the slot
-        waiting = res.request()
-        assert res.queue_length == 1
-        res.release(waiting)   # cancel, not release
+        with res.request():
+            assert res.queue_length == 1
+        # Leaving the block before the grant cancels, not releases.
         assert res.queue_length == 0
         assert res.count == 1
-        res.release(held)
+        with held:
+            pass
         assert res.count == 0
 
     def test_all_work_completes_under_contention(self, env):
@@ -72,50 +73,6 @@ class TestResource:
         assert sorted(done) == list(range(20))
         # 20 jobs, 3 at a time, 1s each -> ceil(20/3) rounds.
         assert env.now == 7
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-        def worker(env, name, prio):
-            req = res.request(priority=prio)
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-            res.release(req)
-        def submit(env):
-            # Occupy first, then queue the rest with varying priorities.
-            req = res.request(priority=0)
-            yield req
-            env.process(worker(env, "low", 5))
-            env.process(worker(env, "high", 1))
-            env.process(worker(env, "mid", 3))
-            yield env.timeout(1)
-            res.release(req)
-        env.process(submit(env))
-        env.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-        def worker(env, name):
-            req = res.request(priority=2)
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-            res.release(req)
-        def submit(env):
-            req = res.request(priority=0)
-            yield req
-            for n in "abc":
-                env.process(worker(env, n))
-            yield env.timeout(1)
-            res.release(req)
-        env.process(submit(env))
-        env.run()
-        assert order == list("abc")
 
 
 class TestStore:
