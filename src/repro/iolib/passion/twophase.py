@@ -19,11 +19,13 @@ collective write followed by independent reads (or vice versa) round-trips
 data exactly.
 
 The communication phases (descriptor allgather, pairwise alltoallv) ride
-on :class:`~repro.mp.comm.Communicator`, whose per-peer transfers are
-one :func:`repro.sim.fan_out` per call.  On the fast kernel that is
-never a spawned process per peer: the transfers start inline, or — when
-the rank was resumed by a barrier release or another multi-waiter event
-— from one deferred start entry.
+on :class:`~repro.mp.comm.Communicator`, whose per-peer messages are
+one :meth:`~repro.machine.network.fabric.Fabric.send_all` per call.  On
+the fast kernel each message is one small
+:class:`~repro.sim.process.Message` object, never a generator or a
+spawned process per peer; the messages start inline, or — when the rank
+was resumed by a barrier release or another multi-waiter event — from
+one deferred start entry.
 """
 
 from __future__ import annotations

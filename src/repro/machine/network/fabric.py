@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, fan_out
+from repro.sim.process import FanOut, Message
 from repro.machine.params import NetworkParams
 from repro.machine.network.topology import Topology
 
@@ -118,3 +119,56 @@ class Fabric:
         stats.messages += 1
         stats.bytes_moved += nbytes
         stats.total_transfer_time += env._now - start
+
+    def send_all(self, src: NodeAddress, messages):
+        """Wait-all event: one message from ``src`` to each ``(dst,
+        nbytes)`` of ``messages``, for ``yield fabric.send_all(...)``.
+
+        Each message is timed, queued and counted exactly as
+        :meth:`transfer` would, and all of them start together as one
+        fan-out.  On the fast kernel each message is one
+        :class:`~repro.sim.process.Message`; the reference kernel runs a
+        :meth:`transfer` generator per message under
+        :func:`~repro.sim.fan_out`.  A message to ``src`` itself or of
+        negative size raises ``ValueError`` before any message starts.
+        """
+        for dst, nbytes in messages:
+            if dst == src:
+                raise ValueError(f"message from node {src} to itself")
+            if nbytes < 0:
+                raise ValueError("nbytes must be non-negative")
+        env = self.env
+        if not env._fast:
+            return fan_out(env, [self.transfer(src, dst, nbytes)
+                                 for dst, nbytes in messages])
+        nics = self._nics
+        return FanOut(env, [Message(self, nics.get(dst) or self._nic(dst),
+                                    src, dst, nbytes)
+                            for dst, nbytes in messages], True)
+
+    def _wire_at_start(self, message: Message) -> float:
+        """Wire time of a :meth:`send_all` message, when it starts: the
+        terms :meth:`transfer` computes, fault delay included.  The
+        header cache is inlined as in :meth:`transfer`, whose cache
+        misses (one per node pair per machine) are too many for a
+        helper call."""
+        src = message.src
+        dst = message.dst
+        p = self.params
+        header = self._headers.get((src, dst))
+        if header is None:
+            hops = self.topology.hops(src, dst)
+            header = p.latency_s + p.msg_overhead_s + hops * p.per_hop_s
+            self._headers[(src, dst)] = header
+        wire = header + message.nbytes / p.link_bandwidth
+        fault = self.fault
+        if fault is not None:
+            wire += fault.delay(src, dst, self.env._now)
+        return wire
+
+    def _delivered(self, message: Message) -> None:
+        """A :meth:`send_all` message released the receiver's NIC."""
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes_moved += message.nbytes
+        stats.total_transfer_time += self.env._now - message.started

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim import Environment, Store, fan_out
+from repro.sim import Environment, Store
 from repro.machine.machine import Machine
 from repro.mp.rendezvous import Barrier, Exchanger
 
@@ -123,12 +123,11 @@ class Communicator:
 
     def allgather(self, rank: int, payload: Any, nbytes: int):
         """Process generator: every rank receives every rank's payload."""
-        transfer = self.machine.fabric.transfer
-        src_node = self.node_of(rank)
-        gens = [transfer(src_node, self.node_of(dst), nbytes)
-                for dst in range(self.size) if dst != rank]
-        if gens:
-            yield fan_out(self.env, gens)
+        if self.size > 1:
+            node_of = self.node_of
+            yield self.machine.fabric.send_all(
+                node_of(rank), [(node_of(dst), nbytes)
+                                for dst in range(self.size) if dst != rank])
         inbound = yield from self._exchanger.exchange(
             rank, {dst: payload for dst in range(self.size)})
         return [inbound[src] for src in sorted(inbound)]
@@ -143,13 +142,11 @@ class Communicator:
         rank.  Self-messages are free (a local copy the caller accounts
         for if it matters).
         """
-        transfer = self.machine.fabric.transfer
-        src_node = self.node_of(rank)
-        gens = [transfer(src_node, self.node_of(dst), nbytes)
-                for dst, nbytes in sizes.items()
-                if dst != rank and nbytes != 0]
-        if gens:
-            yield fan_out(self.env, gens)
+        node_of = self.node_of
+        messages = [(node_of(dst), nbytes) for dst, nbytes in sizes.items()
+                    if dst != rank and nbytes != 0]
+        if messages:
+            yield self.machine.fabric.send_all(node_of(rank), messages)
         inbound = yield from self._exchanger.exchange(rank, payloads)
         return inbound
 

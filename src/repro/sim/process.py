@@ -18,8 +18,11 @@ protocol, the fast kernel's fast paths and the error handling; a
   under a single composite event without allocating a ``Process`` +
   ``Initialize`` pair per child: the children start inline, or from one
   deferred start entry where the reference kernel would pop its N
-  ``Initialize`` entries.  Used by multi-extent ``_transfer`` and the
-  collective-communication fan-outs.
+  ``Initialize`` entries.  Used by multi-extent ``_transfer``.
+* :class:`Message`: a prebuilt fan-out child for the collectives'
+  ``Fabric.send_all``, one slotted object per message that is its own
+  NIC request and heap entry, where the reference kernel runs a
+  ``Fabric.transfer`` generator as a ``Process``.
 
 All are *order-preserving*: the conditions under which they engage
 guarantee the resulting event sequence is identical to the reference
@@ -35,7 +38,7 @@ from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, AllOf, Timeout, PENDING, NORMAL, URGENT
 
-__all__ = ["Process", "Initialize", "FanOut", "fan_out"]
+__all__ = ["Process", "Initialize", "FanOut", "Message", "fan_out"]
 
 
 class Initialize(Event):
@@ -252,14 +255,17 @@ class _FanChild:
 
 
 class FanOut(Event):
-    """Composite event that drives N sub-generators to completion.
+    """Composite event that drives N children to completion.
 
     The fast kernel's replacement for
     ``AllOf(env, [Process(env, g) for g in gens])``, the shape the
     reference kernel builds: no ``Process``/``Initialize`` pair per
-    child, no join bookkeeping.  Each child runs on
-    :meth:`Process._resume`.  The event's value is ``None``.  Construct
-    it through :func:`fan_out`.
+    child, no join bookkeeping.  A child is a sub-generator, wrapped in
+    a :class:`_FanChild` that runs on :meth:`Process._resume`, or, with
+    ``built=True``, a prebuilt child such as a :class:`Message`: any
+    object with a ``_fan`` slot and a ``_resume(event)`` start method
+    that finishes by pushing its own relay entry.  The event's value is
+    ``None``.  Generator fan-outs are built through :func:`fan_out`.
 
     Ordering argument, relative to the reference shape:
 
@@ -285,22 +291,29 @@ class FanOut(Event):
       event, a finished child pushes one relay entry at the identical
       heap position; where ``AllOf._check`` on the last relay would push
       the join's trigger, :meth:`_collect` pushes this event's.
-      Entry-for-entry identical.
+      Entry-for-entry identical.  A :class:`Message` follows the same
+      argument entry by entry; its class docstring gives its half.
     """
 
     __slots__ = ("_pending",)
 
-    def __init__(self, env, gens, deferred: bool):
+    def __init__(self, env, children, built: bool = False):
         super().__init__(env)
-        children = [_FanChild(self, gen) for gen in gens]
+        if built:
+            for child in children:
+                child._fan = self
+        else:
+            children = [_FanChild(self, gen) for gen in children]
         self._pending = len(children)
         if not children:
             # Mirror AllOf(env, []) — met immediately, no child entries.
             self.succeed(None)
-        elif deferred:
-            self._push(self._deferred_start, True, children, URGENT)
-        else:
+            return
+        q = env._queue
+        if env._solo and (not q or q[0][0] > env._now or q[0][1] != URGENT):
             self._start(children)
+        else:
+            self._push(self._deferred_start, True, children, URGENT)
 
     def _deferred_start(self, start: Event) -> None:
         """The start entry was popped; its value is the children."""
@@ -345,6 +358,104 @@ class FanOut(Event):
             self.succeed(None)
 
 
+class Message:
+    """One message of a collective fan-out on the fast kernel.
+
+    The prebuilt :class:`FanOut` child behind
+    :meth:`Fabric.send_all <repro.machine.network.fabric.Fabric.send_all>`:
+    it stands in for a ``Fabric.transfer`` generator and is at once the
+    fan-out child, the request queued at the receiver's NIC (a
+    capacity-one :class:`~repro.sim.resources.Resource`) and its own
+    heap entry for the grant, the wire-time wake and the completion
+    relay.  No generator, ``_FanChild``, ``Request``, relay ``Event`` or
+    bound method is built per message: each heap entry's callback is a
+    shared one-tuple holding a plain function of the message.
+
+    ``link`` supplies the timing, ``link._wire_at_start(message)`` when
+    the message starts (at ``env.now``, in start order) and
+    ``link._delivered(message)`` when it releases the NIC; the heap and
+    wait-queue protocol is the kernel's.  Entry for entry, it mirrors
+    the transfer generator run as a fan-out child:
+
+    * *start* (``_resume``, from :meth:`FanOut._start`, so never under
+      a solo dispatch): take a free NIC slot and push the wire-time wake
+      ``(now + wire, NORMAL, sequence)`` as the generator's sleep would,
+      or queue at the NIC as its ``Request`` would;
+    * *grant* (popped as the request's entry, which
+      ``Resource._grant_next`` pushed): sleep the wire time under the
+      inline-sleep rule of :meth:`Process._resume`, else push the wake;
+    * *wake*: release the NIC, which may push the next waiter's grant;
+      then the link's stats; then the relay entry ``(now, NORMAL,
+      sequence)`` where the generator's ``_finish`` pushes its relay;
+    * *relay*: :meth:`FanOut._collect`, as for any child.
+
+    A message cannot fail, so ``_ok`` and ``_defused`` are constants.
+    """
+
+    __slots__ = ("callbacks", "_value", "_fan", "_link", "_nic", "_wire",
+                 "src", "dst", "nbytes", "started")
+
+    _ok = True
+    _defused = False
+
+    def __init__(self, link, nic, src, dst, nbytes: int):
+        self._link = link
+        self._nic = nic
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+
+    def _resume(self, _event) -> None:
+        """Start: take the NIC and push the wake, or queue at the NIC."""
+        nic = self._nic
+        env = nic.env
+        self.started = now = env._now
+        wire = self._link._wire_at_start(self)
+        users = nic._users
+        if len(users) < nic.capacity:
+            users.append(self)
+            self.callbacks = _ON_WAKE
+            env._eid += 1
+            heappush(env._queue, (now + wire, NORMAL, env._eid, self))
+        else:
+            self._wire = wire
+            self.callbacks = _ON_GRANT
+            nic._waiting.append(self)
+
+    def _granted(self) -> None:
+        """The NIC granted the queued message: sleep the wire time."""
+        env = self._nic.env
+        wake = env._now + self._wire
+        q = env._queue
+        if (not q or q[0][0] > wake) and env._solo:
+            env._now = wake
+            self._woken()
+        else:
+            self.callbacks = _ON_WAKE
+            env._eid += 1
+            heappush(q, (wake, NORMAL, env._eid, self))
+
+    def _woken(self) -> None:
+        """The wire time is over: release the NIC, count, push the relay."""
+        nic = self._nic
+        nic._users.remove(self)
+        if nic._waiting:
+            nic._grant_next()
+        self._link._delivered(self)
+        env = nic.env
+        self.callbacks = _ON_RELAY
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
+
+    def _relayed(self) -> None:
+        self._fan._collect(self)
+
+
+_ON_GRANT = (Message._granted,)
+_ON_WAKE = (Message._woken,)
+_ON_RELAY = (Message._relayed,)
+
+
 def _no_value(join: Event) -> None:
     """First callback of the reference kernel's fan-out join: a waiter
     gets ``None``, as from a :class:`FanOut`, not ``AllOf``'s dict."""
@@ -379,8 +490,4 @@ def fan_out(env, gens) -> Event:
         join = AllOf(env, [Process(env, gen) for gen in gens])
         join.callbacks.append(_no_value)
         return join
-    if env._solo:
-        q = env._queue
-        if not q or q[0][0] > env._now or q[0][1] != URGENT:
-            return FanOut(env, gens, False)
-    return FanOut(env, gens, True)
+    return FanOut(env, gens)

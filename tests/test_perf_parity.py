@@ -54,15 +54,18 @@ def test_figure_traffic_stays_on_the_fast_run_loop(monkeypatch):
     ("fig2", 1, False, 71_015),
     ("fig6", 4, True, 4_199),
     ("fig6", 4, False, 5_012),
+    ("fig6", 5, True, 10_548),
+    ("fig6", 5, False, 13_405),
 ], ids=["fig2#001-fast", "fig2#001-reference", "fig6#004-fast",
-        "fig6#004-reference"])
+        "fig6#004-reference", "fig6#005-fast", "fig6#005-reference"])
 def test_quick_point_heap_entries(monkeypatch, exp_id, index, fast, entries):
     """Heap entries pushed by one quick point, summed ``Environment._eid``
     over the environments it builds, on each kernel.  The count is
     deterministic: a change to it is a change to the kernel's work (or
     to the model) and must be recorded here on purpose.  fig2#001 is
-    unoptimized SCF (Fortran records, two-extent fan-outs); fig6#004 is
-    collective BTIO (two-phase exchanges)."""
+    unoptimized SCF (Fortran records, two-extent fan-outs); fig6#004 and
+    fig6#005 (P=36) are collective BTIO (two-phase exchanges: alltoallv
+    and descriptor allgather fan-outs)."""
     from repro.runner.jobs import decompose, execute_job
     from repro.sim.core import Environment
     from repro.sim.diff import kernel

@@ -672,6 +672,285 @@ class TestFanOutStarts:
             assert len(built) == 5 + 4 * 4
 
 
+def _machine(n_compute=6, fast=None):
+    from repro.machine import Machine, MachineConfig
+    return Machine(MachineConfig(n_compute=n_compute, n_io=1),
+                   env=Environment(fast=fast))
+
+
+class TestCollectiveMessages:
+    """``Fabric.send_all``, the collectives' fan-out: one
+    :class:`~repro.sim.process.Message` per message on the fast kernel,
+    a ``transfer`` generator per message under ``fan_out`` on the
+    reference kernel, and identical event streams."""
+
+    @BOTH_KERNELS
+    def test_collective_shape_per_kernel(self, monkeypatch, fast):
+        """An allgather and an alltoallv build no generator, _FanChild
+        or Request per message on the fast kernel; the reference kernel
+        builds a transfer generator and a Process per message."""
+        from collections import Counter
+
+        from repro.machine.network.fabric import Fabric
+        from repro.mp import Communicator
+        from repro.sim import Request
+        from repro.sim.process import Message, _FanChild
+
+        built = Counter()
+
+        def count(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        for cls in (Process, _FanChild, Request, Message):
+            count(cls)
+        transfer = Fabric.transfer
+
+        def counting_transfer(self, *args):
+            built["transfer"] += 1
+            return transfer(self, *args)
+
+        monkeypatch.setattr(Fabric, "transfer", counting_transfer)
+        size = 4
+        comm = Communicator(_machine(size, fast=fast), size)
+
+        def program(rank, comm):
+            got = yield from comm.allgather(rank, rank, 64)
+            inbound = yield from comm.alltoallv(
+                rank, {dst: (rank, dst) for dst in range(size)},
+                {dst: 128 * (dst + 1) for dst in range(size)})
+            return got, sorted(inbound.items())
+
+        procs = comm.spawn(program)
+        comm.env.run(comm.env.all_of(procs))
+        messages = 2 * size * (size - 1)
+        assert comm.machine.fabric.stats.messages == messages
+        assert procs[1].value == (list(range(size)),
+                                  [(src, (src, 1)) for src in range(size)])
+        if fast:
+            assert built == {"Process": size, "Message": messages}
+        else:
+            assert built["transfer"] == messages
+            assert built["Process"] == size + messages
+            assert built["Message"] == built["_FanChild"] == 0
+
+    def test_fan_outs_converge_on_one_nic_fifo(self, kernel_diff):
+        """Three ranks' fan-outs share two receiver NICs: each NIC grants
+        in start order (not by size), and every completion time is the
+        FIFO sum of the wire times ahead of it."""
+        sizes = {0: (40_000, 10_000), 1: (30_000, 50_000),
+                 2: (5_000, 20_000)}
+        receivers = (3, 4)
+
+        def builder():
+            machine = _machine()
+            env, fabric = machine.env, machine.fabric
+            log = []
+
+            def rank(r):
+                yield fabric.send_all(r, list(zip(receivers, sizes[r])))
+                stats = fabric.stats
+                log.append((r, env.now, stats.messages, stats.bytes_moved,
+                            stats.total_transfer_time,
+                            [fabric.nic_queue_length(d) for d in receivers]))
+
+            env.run(env.all_of([env.process(rank(r)) for r in sizes]))
+            return log
+
+        log = kernel_diff(builder).fast_result
+        wire = _machine().fabric.wire_time
+        done = {d: 0.0 for d in receivers}
+        expected = []
+        for r in sizes:
+            for d, nbytes in zip(receivers, sizes[r]):
+                done[d] += wire(r, d, nbytes)
+            expected.append((r, max(done.values())))
+        assert [(entry[0], entry[1]) for entry in log] == expected
+        assert log[-1][2:4] == (6, sum(map(sum, sizes.values())))
+
+    def test_collectives_from_barrier_released_ranks(self, kernel_diff,
+                                                     monkeypatch):
+        """Ranks released by one multi-callback dispatch defer their
+        fan-out starts; allgather and alltoallv (with some zero sizes)
+        still interleave exactly as the reference's processes do."""
+        from repro.mp import Communicator
+
+        deferred = []
+        deferred_start = FanOut._deferred_start
+
+        def counting(self, start):
+            deferred.append(len(start._value))
+            deferred_start(self, start)
+
+        monkeypatch.setattr(FanOut, "_deferred_start", counting)
+        size = 4
+
+        def builder():
+            machine = _machine(size)
+            comm = Communicator(machine, size)
+            env = machine.env
+            log = []
+
+            def program(r):
+                got = yield from comm.allgather(r, r, 64 * (r + 1))
+                log.append(("allgather", r, env.now, got))
+                inbound = yield from comm.alltoallv(
+                    r, {dst: (r, dst) for dst in range(size)},
+                    {dst: 1000 * ((r + dst) % 3) for dst in range(size)})
+                log.append(("alltoallv", r, env.now,
+                            sorted(inbound.items())))
+
+            env.run(_released_ranks(env, size, program, log))
+            stats = machine.fabric.stats
+            return (log, env.now, stats.messages, stats.bytes_moved,
+                    stats.total_transfer_time)
+
+        kernel_diff(builder)
+        # The fast run deferred every rank's allgather start.
+        assert deferred[:size] == [size - 1] * size
+
+    def test_send_all_with_urgent_entry_pending(self, kernel_diff):
+        """Two processes spawned just before the send are URGENT entries
+        at now: the reference runs both before the transfer processes
+        start, so the fast kernel defers the message starts.  With
+        jitter armed, the deferred messages draw their delays after the
+        others' transfers, as they start, not when they are built."""
+        from repro import faults
+        from repro.faults import FaultPlan
+
+        def builder():
+            machine = _machine()
+            FaultPlan(faults=(faults.fabric_jitter(
+                start=0.0, end=2.0, max_jitter_s=1e-4),)).arm(machine, None)
+            env, fabric = machine.env, machine.fabric
+            log = []
+
+            def other(name, dst):
+                log.append((name, env.now))
+                yield from fabric.transfer(5, dst, 7_000)
+                log.append((name + " sent", env.now))
+
+            def parent():
+                yield 1.0
+                env.process(other("first", 1))
+                env.process(other("second", 2))
+                yield fabric.send_all(0, [(1, 3_000), (2, 3_000),
+                                          (3, 3_000)])
+                log.append(("parent sent", env.now, fabric.stats.messages))
+
+            env.run(env.process(parent()))
+            env.run()
+            return log, env.now, fabric.stats.total_transfer_time
+
+        log, _, _ = kernel_diff(builder).fast_result
+        # The others' transfers take NICs 1 and 2 ahead of the parent's
+        # deferred messages, which queue behind them.
+        assert [e[0] for e in log] == ["first", "second", "first sent",
+                                       "second sent", "parent sent"]
+
+    @BOTH_KERNELS
+    @pytest.mark.parametrize("horizon", [False, True],
+                             ids=["run-until-event", "run-until-number"])
+    def test_granted_message_sleeps_wire_time(self, fast, horizon):
+        """A message granted by a transfer that then goes on sleeping
+        sleeps its wire time inline under a solo dispatch; under
+        ``run(until=<number>)`` (no solo dispatch) it keeps a heap entry
+        and the horizon stops it mid-wire, as the reference's timeout."""
+        machine = _machine(fast=fast)
+        env, fabric = machine.env, machine.fabric
+
+        def holder():
+            yield from fabric.transfer(0, 3, 20_000)
+            yield 1.0
+
+        def rank():
+            yield fabric.send_all(1, [(3, 20_000)])
+
+        procs = [env.process(holder()), env.process(rank())]
+        first = fabric.wire_time(0, 3, 20_000)
+        second = fabric.wire_time(1, 3, 20_000)
+        assert second < 1.0
+        if horizon:
+            env.run(until=first + second / 2)
+            assert (fabric.stats.messages, fabric.nic_queue_length(3)) == (
+                1, 1)
+        env.run(procs[1])
+        assert (env.now, fabric.stats.messages) == (first + second, 2)
+        assert fabric.stats.total_transfer_time == first + (first + second)
+
+    @pytest.mark.parametrize("kind", ["fabric_jitter", "fabric_partition"])
+    def test_allgather_under_fabric_faults(self, kernel_diff, kind):
+        """The fault hook is evaluated as each message starts, in start
+        order, on both kernels: jitter draws its per-message sequence
+        and a partition stalls crossing messages to the window's end."""
+        from repro import faults
+        from repro.faults import FaultPlan
+        from repro.mp import Communicator
+
+        if kind == "fabric_jitter":
+            spec = faults.fabric_jitter(start=0.0, end=0.5,
+                                        max_jitter_s=1e-4)
+        else:
+            spec = faults.fabric_partition(start=0.0, end=0.5,
+                                           group=[0, 1])
+        size = 4
+
+        def builder():
+            machine = _machine(size)
+            FaultPlan(faults=(spec,), seed=3).arm(machine, None)
+            comm = Communicator(machine, size)
+            env = machine.env
+            log = []
+
+            def program(rank, comm):
+                for round_ in range(2):
+                    got = yield from comm.allgather(rank, (rank, round_),
+                                                    512)
+                    log.append((rank, round_, env.now, got[-1]))
+                    yield 0.75
+
+            procs = comm.spawn(program)
+            env.run(env.all_of(procs))
+            return (log, machine.fabric.fault.messages,
+                    machine.fabric.stats.total_transfer_time)
+
+        log, drawn, _ = kernel_diff(builder).fast_result
+        if kind == "fabric_jitter":
+            assert drawn == size * (size - 1)   # only round 0 is in window
+        else:
+            assert min(t for _, round_, t, _ in log if round_ == 0) > 0.5
+
+    @BOTH_KERNELS
+    def test_send_all_empty_and_self_message(self, fast):
+        """An empty send is met at once with value None; a message to the
+        sender's own node raises ValueError before any message starts."""
+        machine = _machine(fast=fast)
+        env, fabric = machine.env, machine.fabric
+        log = []
+
+        def prog():
+            yield 0.5
+            value = yield fabric.send_all(1, [])
+            log.append(("empty", env.now, value))
+            try:
+                fabric.send_all(1, [(2, 10), (1, 10)])
+            except ValueError as exc:
+                log.append(("self", str(exc)))
+            yield 0.25
+            log.append(("after", env.now, fabric.stats.messages,
+                        fabric.nic_queue_length(2)))
+
+        env.run(env.process(prog()))
+        assert log == [("empty", 0.5, None),
+                       ("self", "message from node 1 to itself"),
+                       ("after", 0.75, 0, 0)]
+
+
 class TestSleepProtocol:
     @BOTH_KERNELS
     def test_sleep_yields_match_timeouts(self, fast):
