@@ -12,7 +12,7 @@ Usage::
     python -m repro warm fig2 fig5 --quick --jobs 4
     python -m repro serve --port 8642 --warm fig5
 
-``serve`` exposes the experiment registry and result cache as an async
+``serve`` exposes the experiment registry and result cache as a threaded
 HTTP/JSON service with single-flight coalescing, admission control and
 a ``/metrics`` endpoint (see :mod:`repro.serve` and docs/serving.md);
 ``warm`` precomputes named experiments into the cache it serves from.
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: 10)")
 
     serve = sub.add_parser(
-        "serve", help="serve experiment results over HTTP (async, cached)")
+        "serve", help="serve experiment results over HTTP (threaded, cached)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8642,
@@ -290,8 +290,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
     import signal
+    import threading
 
     from repro.runner import PoolExecutor, ResultStore
     from repro.serve import (AdmissionController, MetricsRegistry, ServeApp,
@@ -313,22 +313,6 @@ def _cmd_serve(args) -> int:
     app = ServeApp(engine=engine, admission=admission, metrics=metrics,
                    request_timeout_s=args.request_timeout)
 
-    async def serve_forever() -> None:
-        await app.start(args.host, args.port)
-        print(f"repro serve listening on http://{args.host}:{app.port} "
-              f"(jobs={args.jobs}, queue={args.queue}, "
-              f"inflight={args.max_inflight})", file=sys.stderr)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await stop.wait()
-        print("draining ...", file=sys.stderr)
-        await app.shutdown()
-
     warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
     try:
         if warm_ids:
@@ -338,8 +322,17 @@ def _cmd_serve(args) -> int:
             report = warm(warm_ids, quick=not args.warm_full, engine=engine,
                           stream=sys.stderr)
             print(report.summary_text(), file=sys.stderr)
-        asyncio.run(serve_forever())
-    except KeyboardInterrupt:  # pragma: no cover - non-signal platforms
+        stop = threading.Event()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, lambda signum, frame: stop.set())
+        app.start(args.host, args.port)
+        print(f"repro serve listening on http://{args.host}:{app.port} "
+              f"(jobs={args.jobs}, queue={args.queue}, "
+              f"inflight={args.max_inflight})", file=sys.stderr)
+        stop.wait()
+        print("draining ...", file=sys.stderr)
+        app.shutdown()
+    except KeyboardInterrupt:  # SIGINT during --warm
         pass
     finally:
         engine.close()   # stops the worker processes on every exit path

@@ -144,23 +144,15 @@ class TwoPhaseIO:
 
     # -- domain geometry ------------------------------------------------------
     def _domain_span(self, lo: int, hi: int, align: int) -> int:
-        """Aligned bytes per file domain over [lo, hi) (the domain stride)."""
+        """Aligned bytes per file domain over [lo, hi) (the domain stride).
+
+        Rank k owns ``[min(hi, lo + k*per), min(hi, lo + (k+1)*per))``:
+        one aligned contiguous domain per rank, the trailing ones empty
+        when the range is short.  Each rank computes the bounds it needs
+        where it needs them rather than a list of all P domains.
+        """
         per = -(-(hi - lo) // self.comm.size)   # ceil
         return -(-per // align) * align         # round up to alignment
-
-    def _domains(self, lo: int, hi: int, align: int) -> List[Tuple[int, int]]:
-        """Split [lo, hi) into one aligned contiguous domain per rank."""
-        size = self.comm.size
-        if hi - lo <= 0:
-            return [(lo, lo)] * size
-        per = self._domain_span(lo, hi, align)
-        domains = []
-        start = lo
-        for _ in range(size):
-            end = min(hi, start + per)
-            domains.append((start, end))
-            start = end
-        return domains
 
     def _gather_descriptors(self, rank: int, runs: RunList):
         """Process generator: exchange request descriptors; returns the
@@ -197,14 +189,13 @@ class TwoPhaseIO:
         if hi <= lo:
             yield from self.comm.barrier(rank)
             return 0
-        domains = self._domains(lo, hi, align)
 
         # Communication phase: route each piece to its domain owner.  The
         # domains are a fixed-stride partition of [lo, hi), so the owners a
         # run overlaps form a contiguous index range — visit only those
         # instead of testing every (run × rank) pair.
         per = self._domain_span(lo, hi, align)
-        last_owner = len(domains) - 1
+        last_owner = self.comm.size - 1
         payloads = runs.payloads
         with_payloads = payloads is not None
         outgoing: Dict[int, RunList] = {}
@@ -216,9 +207,9 @@ class TwoPhaseIO:
             k_lo = (offset - lo) // per
             k_hi = min((end - 1 - lo) // per, last_owner)
             for owner in range(k_lo, k_hi + 1):
-                d_lo, d_hi = domains[owner]
+                d_lo = lo + owner * per          # < end <= hi
                 p_lo = max(offset, d_lo)
-                p_hi = min(end, d_hi)
+                p_hi = min(end, d_lo + per)
                 if p_hi <= p_lo:
                     continue
                 payload = None
@@ -277,11 +268,12 @@ class TwoPhaseIO:
         if hi <= lo:
             yield from self.comm.barrier(rank)
             return [] if file.handle.file.functional else 0
-        domains = self._domains(lo, hi, align)
 
         # I/O phase first: each owner reads the part of its domain that
         # anyone actually wants.
-        d_lo, d_hi = domains[rank]
+        per = self._domain_span(lo, hi, align)
+        d_lo = min(hi, lo + rank * per)
+        d_hi = min(hi, d_lo + per)
         wanted = merge_intervals([
             (max(o, d_lo), min(o + n, d_hi))
             for offsets, lengths, _, _ in all_desc

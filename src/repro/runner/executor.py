@@ -537,8 +537,9 @@ def _settle(settled: List[tuple]) -> None:
 
 def _kill(proc: mp.process.BaseProcess) -> None:
     # SIGKILL, not SIGTERM: a worker forked by ``repro serve`` inherits
-    # asyncio's SIGTERM handler, which ignores the signal in the worker
-    # and reports it to the server's event loop instead.
+    # the server's Python SIGTERM handler, which only sets the worker's
+    # copy of the server's stop event, until _worker_main restores the
+    # default.
     proc.kill()
     proc.join()
 

@@ -8,17 +8,28 @@ SHA-256 over the source of the packages that compute payloads
 not — invalidates every cached result, while an edit to the runner,
 the server or the CLI keeps them.  ``REPRO_CACHE_SALT`` adds a manual
 lever on top, for changes the source hash cannot see.
+
+Every digest here and in :mod:`repro.runner.store` comes from
+:func:`sha256`: the interpreter's built-in SHA-256 module, so hashing a
+key does not map OpenSSL's libcrypto into the process.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Mapping, Optional
 
 from repro._version import __version__
+
+try:                                 # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:                             # CPython 3.10-3.11
+        from _sha256 import sha256
+    except ImportError:              # other interpreters
+        from hashlib import sha256
 
 __all__ = ["canonical_json", "code_fingerprint", "job_key"]
 
@@ -61,7 +72,7 @@ def _source_digest() -> str:
     for part in _HASHED_SOURCES:
         path = _PACKAGE / part
         files += [path] if path.is_file() else path.rglob("*.py")
-    digest = hashlib.sha256()
+    digest = sha256()
     for rel, path in sorted((p.relative_to(_PACKAGE).as_posix(), p)
                             for p in files):
         data = path.read_bytes()
@@ -88,4 +99,4 @@ def job_key(exp_id: str, kind: str, config: Mapping[str, object]) -> str:
         "config": dict(config),
         "code": code_fingerprint(),
     })
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return sha256(blob.encode("ascii")).hexdigest()

@@ -28,7 +28,6 @@ a miss and recomputes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -37,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.runner.keys import canonical_json
+from repro.runner.keys import canonical_json, sha256
 
 __all__ = ["DEFAULT_ROOT", "CacheStats", "ResultStore",
            "payload_checksum"]
@@ -51,7 +50,7 @@ _LAST_RUN = "last_run.json"
 
 def payload_checksum(payload: dict) -> str:
     """SHA-256 of the canonicalized payload JSON (order-insensitive)."""
-    return hashlib.sha256(
+    return sha256(
         canonical_json(payload).encode("ascii")).hexdigest()
 
 

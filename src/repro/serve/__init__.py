@@ -1,7 +1,7 @@
-"""Async experiment-serving front-end.
+"""Experiment-serving front-end.
 
 ``repro serve`` turns the batch runner into an always-on query service
-(the monitoring-interface discipline of Kunkel et al.): an asyncio
+(the monitoring-interface discipline of Kunkel et al.): a threaded
 HTTP/JSON API over the experiment registry, backed by the
 content-addressed :class:`~repro.runner.store.ResultStore` and the
 crash-isolated :class:`~repro.runner.executor.PoolExecutor`.
@@ -14,12 +14,13 @@ crash-isolated :class:`~repro.runner.executor.PoolExecutor`.
 - :mod:`repro.serve.client`    -- stdlib urllib client
 
 See ``docs/serving.md`` for the API, the coalescing/admission
-semantics, and the metrics reference.
+semantics, and the metrics reference.  The client is imported on first
+use of :class:`ServeClient` or :class:`ServeHTTPError`, so the server
+process never loads ``urllib.request`` and ``http.client``.
 """
 
 from repro.serve.admission import (AdmissionController, DrainingError,
                                    RejectedError)
-from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.engine import (EngineClosed, EngineSaturated, PointOutcome,
                                 ServeEngine, Ticket)
 from repro.serve.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
@@ -46,3 +47,11 @@ __all__ = [
     "WarmReport",
     "warm",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("ServeClient", "ServeHTTPError"):
+        from repro.serve import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

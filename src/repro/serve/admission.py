@@ -10,17 +10,17 @@ backlog.  A draining server rejects new work with
 :class:`DrainingError` (``503``) while letting admitted requests
 finish.
 
-Everything here runs on the asyncio event loop (single-threaded), so
-plain counters are race-free; the blocking work itself happens in the
-executor's worker processes while the admitted request merely awaits a
-future.  Per-request *processing* timeouts are the server's job
-(``asyncio.wait_for`` → 504); a request cancelled while still waiting
-in the admission queue gives its slot back cleanly.
+Every connection runs on its own handler thread, so the counters and
+the FIFO live under one condition variable; the blocking work itself
+happens in the executor's worker processes while the admitted request
+merely waits on a future.  A waiter whose ``timeout`` expires in the
+queue raises :class:`TimeoutError` and gives its queue slot back; the
+server turns that into ``504``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import threading
 from collections import deque
 from typing import Deque, Optional
 
@@ -41,6 +41,15 @@ class DrainingError(Exception):
     """The server is shutting down and admits no new requests."""
 
 
+class _Waiter:
+    """One queued request; ``granted`` flips when a slot passes to it."""
+
+    __slots__ = ("granted",)
+
+    def __init__(self) -> None:
+        self.granted = False
+
+
 class AdmissionController:
     """Bounded admission: ``max_inflight`` running + ``max_queue`` waiting."""
 
@@ -51,9 +60,9 @@ class AdmissionController:
         self.max_queue = max(0, int(max_queue))
         self.retry_after_s = retry_after_s
         self._inflight = 0
-        self._waiters: "Deque[asyncio.Future]" = deque()
+        self._waiters: Deque[_Waiter] = deque()
         self._draining = False
-        self._idle_event: Optional[asyncio.Event] = None
+        self._cond = threading.Condition()
 
         m = metrics if metrics is not None else MetricsRegistry()
         self.metrics = m
@@ -79,82 +88,61 @@ class AdmissionController:
     def draining(self) -> bool:
         return self._draining
 
-    async def acquire(self) -> None:
+    def acquire(self, timeout: Optional[float] = None) -> None:
         """Admit the calling request, waiting in FIFO order if needed.
 
-        Raises :class:`DrainingError` during shutdown and
-        :class:`RejectedError` when the wait queue is full.
+        Raises :class:`DrainingError` during shutdown,
+        :class:`RejectedError` when the wait queue is full and
+        :class:`TimeoutError` when no slot came within ``timeout``.
         """
-        if self._draining:
-            raise DrainingError("server is draining")
-        if self._inflight < self.max_inflight:
-            self._inflight += 1
-            self._g_inflight.set(self._inflight)
-            return
-        if len(self._waiters) >= self.max_queue:
-            self._m_rejected.inc()
-            raise RejectedError(self.retry_after_s)
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters.append(fut)
-        self._g_waiting.set(len(self._waiters))
-        try:
-            await fut
-        except asyncio.CancelledError:
-            if fut.done() and not fut.cancelled():
-                # The slot was granted in the same instant we were
-                # cancelled; hand it to the next waiter (or free it).
-                self._release_slot()
-            else:
-                try:
-                    self._waiters.remove(fut)
-                except ValueError:
-                    pass
-                self._g_waiting.set(len(self._waiters))
-            raise
-        # A granted waiter inherits the releaser's slot: _inflight
-        # already counts it (see _release_slot).
+        with self._cond:
+            if self._draining:
+                raise DrainingError("server is draining")
+            if self._inflight < self.max_inflight:
+                self._inflight += 1
+                self._g_inflight.set(self._inflight)
+                return
+            if len(self._waiters) >= self.max_queue:
+                self._m_rejected.inc()
+                raise RejectedError(self.retry_after_s)
+            waiter = _Waiter()
+            self._waiters.append(waiter)
+            self._g_waiting.set(len(self._waiters))
+            # A granted waiter inherits the releaser's slot: _inflight
+            # already counts it (see release).
+            if self._cond.wait_for(lambda: waiter.granted, timeout):
+                return
+            self._waiters.remove(waiter)
+            self._g_waiting.set(len(self._waiters))
+            raise TimeoutError(f"no admission slot within {timeout:g}s")
 
     def release(self) -> None:
         """Give the admission slot back (request finished or failed)."""
-        self._release_slot()
+        with self._cond:
+            if self._waiters:
+                self._waiters.popleft().granted = True  # slot transfers
+                self._g_waiting.set(len(self._waiters))
+            else:
+                self._inflight -= 1
+                self._g_inflight.set(self._inflight)
+            self._cond.notify_all()
 
-    def _release_slot(self) -> None:
-        while self._waiters:
-            fut = self._waiters.popleft()
-            self._g_waiting.set(len(self._waiters))
-            if not fut.done():
-                fut.set_result(None)   # slot transfers; _inflight unchanged
-                return
-        self._inflight -= 1
-        self._g_inflight.set(self._inflight)
-        if self._idle_event is not None and self._inflight == 0 \
-                and not self._waiters:
-            self._idle_event.set()
-
-    async def __aenter__(self) -> "AdmissionController":
-        await self.acquire()
+    def __enter__(self) -> "AdmissionController":
+        self.acquire()
         return self
 
-    async def __aexit__(self, *exc) -> None:
+    def __exit__(self, *exc) -> None:
         self.release()
 
     # -- shutdown ------------------------------------------------------
 
     def begin_drain(self) -> None:
         """Stop admitting; requests already admitted/waiting continue."""
-        self._draining = True
+        with self._cond:
+            self._draining = True
 
-    async def wait_drained(self, timeout: Optional[float] = None) -> bool:
+    def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """After :meth:`begin_drain`, wait for in-flight work to finish."""
-        if self._inflight == 0 and not self._waiters:
-            return True
-        self._idle_event = asyncio.Event()
-        if self._inflight == 0 and not self._waiters:  # re-check post-create
-            return True
-        try:
-            await asyncio.wait_for(self._idle_event.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
-        finally:
-            self._idle_event = None
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._inflight == 0 and not self._waiters, timeout)

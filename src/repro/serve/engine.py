@@ -16,9 +16,9 @@ the engine resolves it in this order:
    waiter.  Jobs the executor has not started form the *bounded* queue:
    a full one raises :class:`EngineSaturated` (HTTP 429).
 
-The asyncio server awaits the returned
-:class:`concurrent.futures.Future` via :func:`asyncio.wrap_future`;
-synchronous callers (``repro warm``, tests) block on it directly.
+Every caller blocks on the returned
+:class:`concurrent.futures.Future`: a server handler thread until its
+request deadline, ``repro warm`` and tests until the job is done.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Serving metrics: counters, gauges, latency histograms.
 
 A tiny, thread-safe, stdlib-only metrics registry in the Prometheus
-data model.  The serving layer updates it from both the asyncio event
-loop and the executor threads that finish engine jobs, so every
+data model.  The serving layer updates it from both the HTTP handler
+threads and the executor threads that finish engine jobs, so every
 mutation happens under the registry lock; reads
 (:meth:`MetricsRegistry.to_dict`,
 :meth:`MetricsRegistry.render_prometheus`) take a consistent snapshot

@@ -1,9 +1,12 @@
-"""Asyncio HTTP/JSON front-end for serving experiment results.
+"""Threaded HTTP/JSON front-end for serving experiment results.
 
-Stdlib-only: a small HTTP/1.1 server on :func:`asyncio.start_server`
-(one request per connection, ``Connection: close``) that fronts the
-experiment registry through the single-flight
-:class:`~repro.serve.engine.ServeEngine`.
+Stdlib-only: a small HTTP/1.1 server (one request per connection,
+``Connection: close``) that fronts the experiment registry through the
+single-flight :class:`~repro.serve.engine.ServeEngine`.  A
+:mod:`socketserver` accept thread hands each connection to a handler
+thread of its own, which reads the request, takes an admission slot and
+waits on the engine's :class:`concurrent.futures.Future` until the
+request deadline.
 
 Routes
 ------
@@ -19,18 +22,23 @@ Routes
   "config": {...}, "kind": "point"}`` (``kind`` is optional).
 
 Degradation contract: saturation → ``429`` + ``Retry-After``; request
-timeout → ``504``; draining → ``503``; a failing job → ``500`` carrying
-the job's error text.  Shutdown is graceful: admission drains, the
-engine finishes queued jobs, then the listener closes.
+timeout → ``504``; a request not fully received within the request
+timeout → ``408``; draining → ``503``; a failing job → ``500`` carrying
+the job's error text.  Handler threads are capped at the admission
+limits plus :data:`CONNECTION_HEADROOM`; a connection over the cap gets
+``429`` from the accept thread.  Shutdown is graceful: admission
+drains, the engine finishes queued jobs, then the listener closes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import socketserver
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import TimeoutError as FutureTimeout
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro._version import __version__
@@ -43,10 +51,14 @@ from repro.serve.engine import (EngineClosed, EngineSaturated, PointOutcome,
                                 ServeEngine, Ticket)
 from repro.serve.metrics import MetricsRegistry
 
-__all__ = ["ServeApp", "ServerThread"]
+__all__ = ["CONNECTION_HEADROOM", "ServeApp", "ServerThread"]
 
 _MAX_HEADER_BYTES = 32 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
+
+#: Handler threads allowed beyond the admission limits, so ``/healthz``
+#: and ``/metrics`` still answer while every admission slot is taken.
+CONNECTION_HEADROOM = 4
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -65,6 +77,32 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
+
+
+def _close(sock: socket.socket) -> None:
+    """End the connection even if a pool worker forked while it was open
+    holds a copy of the descriptor (``close`` alone would not send FIN)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
+class _Listener(socketserver.TCPServer):
+    """The accept loop: each accepted socket goes to ``ServeApp._accept``."""
+
+    allow_reuse_address = True
+    request_queue_size = 100
+
+    def __init__(self, app: "ServeApp", host: str, port: int):
+        self.app = app
+        if ":" in host:
+            self.address_family = socket.AF_INET6
+        super().__init__((host, port), None)
+
+    def process_request(self, request, client_address) -> None:
+        self.app._accept(request)
 
 
 class ServeApp:
@@ -89,7 +127,14 @@ class ServeApp:
             AdmissionController(metrics=self.metrics)
         self.request_timeout_s = request_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self._server: Optional[asyncio.AbstractServer] = None
+        #: Handler threads at most: every admission slot and queue
+        #: place, plus the headroom for probes.
+        self.max_connections = (self.admission.max_inflight
+                                + self.admission.max_queue
+                                + CONNECTION_HEADROOM)
+        self._connections = 0
+        self._conn_lock = threading.Lock()
+        self._listener: Optional[_Listener] = None
         self._started_at = time.time()
 
         m = self.metrics
@@ -104,132 +149,157 @@ class ServeApp:
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(self, host: str = "127.0.0.1",
-                    port: int = 0) -> asyncio.AbstractServer:
-        # limit= caps readuntil's buffer at the header budget (the
-        # default 64 KiB would LimitOverrun before our own check);
-        # readexactly for bodies is not bound by it.
-        self._server = await asyncio.start_server(
-            self._client_connected, host=host, port=port,
-            limit=_MAX_HEADER_BYTES)
-        return self._server
+    def start(self, host: str = "127.0.0.1", port: int = 0) -> "ServeApp":
+        """Bind the listener and start the accept thread."""
+        self._listener = _Listener(self, host, port)
+        threading.Thread(target=self._listener.serve_forever, daemon=True,
+                         name="repro-serve-accept").start()
+        return self
 
     @property
     def port(self) -> int:
-        assert self._server is not None, "app not started"
-        return self._server.sockets[0].getsockname()[1]
+        assert self._listener is not None, "app not started"
+        return self._listener.server_address[1]
 
-    async def shutdown(self) -> None:
+    def shutdown(self) -> None:
         """Graceful: stop admitting, drain, close engine and listener."""
         self.admission.begin_drain()
-        await self.admission.wait_drained(self.drain_timeout_s)
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.engine.close)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self.admission.wait_drained(self.drain_timeout_s)
+        self.engine.close()
+        if self._listener is not None:
+            self._listener.shutdown()
+            self._listener.server_close()
 
     # -- HTTP plumbing -------------------------------------------------
 
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
+    def _accept(self, sock: socket.socket) -> None:
+        """On the accept thread: start a handler, or refuse over the cap."""
+        with self._conn_lock:
+            admit = self._connections < self.max_connections
+            if admit:
+                self._connections += 1
+        if admit:
+            threading.Thread(target=self._handle, args=(sock,),
+                             daemon=True).start()
+            return
+        self._m_requests.labels(route="?", code="429").inc()
+        try:
+            sock.setblocking(False)
+            sock.recv(_MAX_HEADER_BYTES)   # whatever already arrived
+        except OSError:                    # nothing yet
+            pass
+        self._respond(sock, 429, {"error": "too many connections"},
+                      self._retry_after(self.admission.retry_after_s))
+        _close(sock)
+
+    def _handle(self, sock: socket.socket) -> None:
+        """One connection, on its own thread: read, dispatch, answer."""
         route = "?"
         status = 500
         t0 = time.perf_counter()
         try:
             try:
-                method, target, headers = await self._read_head(reader)
-                body = await self._read_body(reader, headers)
+                method, target, body = self._read_request(
+                    sock, time.monotonic() + self.request_timeout_s)
             except _HTTPError as exc:
-                await self._respond(writer, exc.status,
-                                    {"error": str(exc)}, exc.headers)
                 status = exc.status
+                self._respond(sock, status, {"error": str(exc)}, exc.headers)
                 return
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ConnectionError, ValueError):
-                return   # client hung up or spoke garbage mid-request
-            path = urlsplit(target).path
-            query = {k: v[-1] for k, v in
-                     parse_qs(urlsplit(target).query).items()}
+            except OSError:
+                return   # client hung up mid-request
+            url = urlsplit(target)
+            path = url.path
+            query = {k: v[-1] for k, v in parse_qs(url.query).items()}
             route = self._route_label(method, path)
             try:
-                status, payload, headers_out = await self._dispatch(
+                status, payload, headers_out = self._dispatch(
                     method, path, query, body)
             except _HTTPError as exc:
                 status, payload, headers_out = (
                     exc.status, {"error": str(exc)}, exc.headers)
             except RejectedError as exc:
                 status, payload = 429, {"error": "server saturated"}
-                headers_out = {
-                    "Retry-After": f"{max(1, round(exc.retry_after_s))}"}
+                headers_out = self._retry_after(exc.retry_after_s)
             except EngineSaturated as exc:
                 status, payload = 429, {"error": str(exc)}
-                headers_out = {
-                    "Retry-After": f"{max(1, round(exc.retry_after_s))}"}
+                headers_out = self._retry_after(exc.retry_after_s)
             except (DrainingError, EngineClosed):
                 status, payload = 503, {"error": "server is draining"}
                 headers_out = {"Retry-After": "5"}
-            except asyncio.TimeoutError:
+            except (TimeoutError, FutureTimeout):
                 self._m_timeouts.inc()
                 status, payload = 504, {
                     "error": f"request exceeded "
                              f"{self.request_timeout_s:g}s timeout"}
                 headers_out = {}
-            except Exception as exc:   # never kill the server loop
+            except Exception as exc:   # never kill the handler thread
                 status, payload = 500, {
                     "error": f"internal error: {exc!r}"}
                 headers_out = {}
             if status >= 500:
                 self._m_errors.inc()
-            await self._respond(writer, status, payload, headers_out)
+            self._respond(sock, status, payload, headers_out)
         finally:
             self._m_requests.labels(route=route, code=str(status)).inc()
             self._h_latency.labels(route=route).observe(
                 time.perf_counter() - t0)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            _close(sock)
+            with self._conn_lock:
+                self._connections -= 1
 
     @staticmethod
-    async def _read_head(reader: asyncio.StreamReader
-                         ) -> Tuple[str, str, Dict[str, str]]:
+    def _recv(sock: socket.socket, deadline: float) -> bytes:
+        """One ``recv`` bounded by the read deadline (408 when it passes)."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise _HTTPError(408, "request not received in time")
+        sock.settimeout(remaining)
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise _HTTPError(413, "headers too large") from None
-        if len(head) > _MAX_HEADER_BYTES:
+            chunk = sock.recv(64 * 1024)
+        except socket.timeout:
+            raise _HTTPError(408, "request not received in time") from None
+        if not chunk:
+            raise ConnectionError("client closed mid-request")
+        return chunk
+
+    def _read_request(self, sock: socket.socket, deadline: float
+                      ) -> Tuple[str, str, bytes]:
+        """Read the head and body before ``deadline``: (method, target,
+        body)."""
+        buf = b""
+        end = -1
+        while end < 0:
+            if len(buf) > _MAX_HEADER_BYTES:
+                raise _HTTPError(413, "headers too large")
+            seen = len(buf)
+            buf += self._recv(sock, deadline)
+            end = buf.find(b"\r\n\r\n", max(0, seen - 3))
+        if end + 4 > _MAX_HEADER_BYTES:
             raise _HTTPError(413, "headers too large")
-        lines = head.decode("latin-1").split("\r\n")
+        lines = buf[:end].decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
             raise _HTTPError(400, f"malformed request line {lines[0]!r}")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         for line in lines[1:]:
-            if not line:
-                continue
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
-
-    @staticmethod
-    async def _read_body(reader: asyncio.StreamReader,
-                         headers: Dict[str, str]) -> bytes:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise _HTTPError(400, "bad Content-Length") from None
         if length < 0 or length > _MAX_BODY_BYTES:
             raise _HTTPError(413, "body too large")
-        if length == 0:
-            return b""
-        return await reader.readexactly(length)
+        body = buf[end + 4:]
+        while len(body) < length:
+            body += self._recv(sock, deadline)
+        return method.upper(), target, body[:length]
 
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: object,
-                       headers: Optional[Dict[str, str]] = None) -> None:
+    def _respond(self, sock: socket.socket, status: int, payload: object,
+                 headers: Optional[Dict[str, str]] = None) -> None:
+        """Write one response; a client that stops reading times out."""
         if isinstance(payload, str):     # pre-rendered (Prometheus text)
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4"
@@ -243,12 +313,16 @@ class ServeApp:
                 "Connection: close"]
         for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                     + body)
         try:
-            await writer.drain()
-        except ConnectionError:
+            sock.settimeout(self.request_timeout_s)
+            sock.sendall(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                         + body)
+        except OSError:
             pass
+
+    @staticmethod
+    def _retry_after(seconds: float) -> Dict[str, str]:
+        return {"Retry-After": f"{max(1, round(seconds))}"}
 
     @staticmethod
     def _route_label(method: str, path: str) -> str:
@@ -259,9 +333,9 @@ class ServeApp:
 
     # -- routing -------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str,
-                        query: Dict[str, str], body: bytes
-                        ) -> Tuple[int, object, Dict[str, str]]:
+    def _dispatch(self, method: str, path: str,
+                  query: Dict[str, str], body: bytes
+                  ) -> Tuple[int, object, Dict[str, str]]:
         if path == "/healthz":
             self._require(method, "GET")
             return 200, self._healthz(), {}
@@ -276,12 +350,11 @@ class ServeApp:
         if path.startswith("/v1/experiments/"):
             self._require(method, "GET")
             name = path[len("/v1/experiments/"):]
-            return 200, await self._admitted(
-                lambda: self._get_experiment(name, query)), {}
+            return 200, self._admitted(self._get_experiment, name,
+                                       query), {}
         if path == "/v1/points":
             self._require(method, "POST")
-            return 200, await self._admitted(
-                lambda: self._run_point(body)), {}
+            return 200, self._admitted(self._run_point, body), {}
         raise _HTTPError(404, f"no route for {path}")
 
     @staticmethod
@@ -289,28 +362,31 @@ class ServeApp:
         if method != expected:
             raise _HTTPError(405, f"use {expected}")
 
-    async def _admitted(self, make_coro):
-        """Run one unit of admitted work under the request timeout.
+    def _admitted(self, work: Callable[..., dict], *args) -> dict:
+        """Run ``work(*args, deadline)`` under admission.
 
-        ``make_coro`` is a zero-arg factory so that nothing is started
-        (or left un-awaited) when admission itself rejects the request.
+        One deadline, ``request_timeout_s`` from now, covers both the
+        admission wait and the work; :class:`TimeoutError` (504) when it
+        passes.
         """
-        async def gated():
-            async with self.admission:
-                return await make_coro()
-        return await asyncio.wait_for(gated(), self.request_timeout_s)
+        deadline = time.monotonic() + self.request_timeout_s
+        self.admission.acquire(self.request_timeout_s)
+        try:
+            return work(*args, deadline)
+        finally:
+            self.admission.release()
 
     @staticmethod
-    async def _outcome(ticket: Ticket) -> PointOutcome:
-        """Await a ticket without being able to cancel its future.
+    def _outcome(ticket: Ticket, deadline: float) -> PointOutcome:
+        """Wait for a ticket until ``deadline`` without cancelling it.
 
         The engine future may be shared — by requests that coalesced
         onto the same key, and by sync callers (``repro warm`` against
-        a live server).  A request timeout cancels this coroutine; the
-        shield makes that *abandon* the future, never cancel it, so
-        the other waiters still get their outcome.
+        a live server).  ``Future.result(timeout)`` gives up on the
+        future when the deadline passes and leaves it running, so the
+        other waiters still get their outcome.
         """
-        return await asyncio.shield(asyncio.wrap_future(ticket.future))
+        return ticket.result(max(0.0, deadline - time.monotonic()))
 
     # -- handlers ------------------------------------------------------
 
@@ -338,8 +414,8 @@ class ServeApp:
             })
         return {"experiments": out}
 
-    async def _get_experiment(self, name: str,
-                              query: Dict[str, str]) -> dict:
+    def _get_experiment(self, name: str, query: Dict[str, str],
+                        deadline: float) -> dict:
         try:
             registry.get(name)
         except KeyError as exc:
@@ -351,8 +427,7 @@ class ServeApp:
         t0 = time.perf_counter()
         jobs = decompose(name, quick=quick)
         tickets = [self.engine.submit(job) for job in jobs]
-        outcomes: List[PointOutcome] = list(await asyncio.gather(
-            *[self._outcome(t) for t in tickets]))
+        outcomes = [self._outcome(t, deadline) for t in tickets]
         bad = [o for o in outcomes if not o.ok]
         if bad:
             raise _HTTPError(500, "; ".join(
@@ -374,7 +449,7 @@ class ServeApp:
             "result": result.to_dict(),
         }
 
-    async def _run_point(self, body: bytes) -> dict:
+    def _run_point(self, body: bytes, deadline: float) -> dict:
         try:
             req = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, ValueError):
@@ -397,7 +472,7 @@ class ServeApp:
         job = JobSpec(job_id=f"{exp_id}#serve", exp_id=exp_id,
                       kind=kind, config=config)
         ticket = self.engine.submit(job)
-        outcome: PointOutcome = await self._outcome(ticket)
+        outcome = self._outcome(ticket, deadline)
         if not outcome.ok:
             raise _HTTPError(500, f"job {outcome.status}: "
                                   f"{(outcome.error or '').strip()[-2000:]}")
@@ -412,7 +487,7 @@ class ServeApp:
 
 
 class ServerThread:
-    """Run a :class:`ServeApp` on a background thread (tests, benchmarks).
+    """Run a :class:`ServeApp` in the background (tests, benchmarks).
 
     ::
 
@@ -426,60 +501,19 @@ class ServerThread:
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self, timeout: float = 10.0) -> "ServerThread":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve")
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") \
-                from self._startup_error
+    def start(self) -> "ServerThread":
+        self.port = self.app.start(self.host, self._requested_port).port
         return self
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-
-        async def boot():
-            await self.app.start(self.host, self._requested_port)
-            self.port = self.app.port
-
-        try:
-            loop.run_until_complete(boot())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def stop(self, timeout: float = 15.0) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None or not thread.is_alive():
-            return
-
-        async def teardown():
-            await self.app.shutdown()
-            asyncio.get_running_loop().stop()
-
-        asyncio.run_coroutine_threadsafe(teardown(), loop)
-        thread.join(timeout)
+    def stop(self) -> None:
+        if self.port is not None:
+            self.port = None
+            self.app.shutdown()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

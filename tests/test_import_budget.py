@@ -91,3 +91,60 @@ with executor:
 print(before, outcome.status, "multiprocessing" in sys.modules)
 """)
     assert out.split() == ["False", "ok", "True"]
+
+
+def test_serve_path_loads_no_asyncio_ssl_openssl_or_http_client():
+    """``repro serve`` answers a miss on its 2-worker pool and a hit
+    without loading the event loop, TLS, OpenSSL's hashing or the HTTP
+    client stack (the test speaks HTTP over a raw socket)."""
+    out = _run("""
+import json
+import os
+import signal
+import socket
+import sys
+import tempfile
+import threading
+
+from repro.cli import main
+from repro.runner.jobs import decompose
+from repro.serve import server
+
+apps = []
+_start = server.ServeApp.start
+
+def start(self, *args, **kwargs):
+    apps.append(self)
+    return _start(self, *args, **kwargs)
+
+server.ServeApp.start = start
+config = decompose("fig4", quick=True)[0].config
+
+def post(port):
+    body = json.dumps({"exp_id": "fig4", "config": config}).encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as s:
+        s.sendall(b"POST /v1/points HTTP/1.1\\r\\nContent-Length: "
+                  + str(len(body)).encode() + b"\\r\\n\\r\\n" + body)
+        data = b""
+        while chunk := s.recv(65536):
+            data += chunk
+    return json.loads(data.split(b"\\r\\n\\r\\n", 1)[1])["source"]
+
+sources = []
+
+def drive():
+    while not apps or apps[0]._listener is None:
+        threading.Event().wait(0.01)
+    port = apps[0].port
+    sources.extend(post(port) for _ in range(2))
+    os.kill(os.getpid(), signal.SIGTERM)
+
+threading.Thread(target=drive, daemon=True).start()
+with tempfile.TemporaryDirectory() as cache:
+    code = main(["serve", "--port", "0", "--jobs", "2",
+                 "--cache-dir", cache])
+print(code, *sources)
+print(sorted(m for m in ("asyncio", "ssl", "_hashlib", "http.client")
+             if m in sys.modules))
+""")
+    assert out.split("\n")[:2] == ["0 computed cache", "[]"]

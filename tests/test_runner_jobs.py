@@ -59,6 +59,26 @@ class TestKeys:
         monkeypatch.setattr(keys, "code_fingerprint", lambda: "repro-1.0.0")
         assert decompose("fig2", quick=True)[0].key == FIG2_QUICK_KEY
 
+    def test_builtin_sha256_matches_hashlib(self, monkeypatch):
+        """The interpreter's SHA-256 module digests exactly as OpenSSL's
+        ``hashlib.sha256`` does: keys and checksums did not move."""
+        import hashlib
+        import platform
+
+        from repro.runner import store
+
+        if platform.python_implementation() == "CPython":
+            assert keys.sha256 is not hashlib.sha256
+        payload = {"rows": [{"x": 1.5, "label": "a"}], "n": 3}
+        cfg = {"p": 4, "n_io": 2, "label": "unopt 2io"}
+        ours = (store.payload_checksum(payload),
+                job_key("fig5", KIND_POINT, cfg), keys._source_digest())
+        monkeypatch.setattr(keys, "sha256", hashlib.sha256)
+        monkeypatch.setattr(store, "sha256", hashlib.sha256)
+        assert ours == (store.payload_checksum(payload),
+                        job_key("fig5", KIND_POINT, cfg),
+                        keys._source_digest())
+
 
 class TestSourceFingerprint:
     """The fingerprint hashes the payload-computing packages: an edit

@@ -194,8 +194,9 @@ class TestCleanExit:
 class TestTimeoutKill:
     def test_timed_out_worker_ignoring_sigterm_is_killed(self,
                                                          monkeypatch):
-        """Workers forked under ``repro serve`` inherit asyncio's no-op
-        SIGTERM handler: a timeout must still remove the worker."""
+        """Workers forked under ``repro serve`` inherit the server's
+        SIGTERM handler, which does not stop them: a timeout must still
+        remove the worker."""
         jobs = _register(monkeypatch,
                          zz_stuck=_fake("zz_stuck", lambda: time.sleep(30)))
         previous = signal.signal(signal.SIGTERM, lambda *a: None)

@@ -16,7 +16,7 @@ The two seeded contract tests required by the serving design:
   ``Retry-After`` and recovers after the backlog drains.
 """
 
-import asyncio
+import concurrent.futures
 import json
 import socket
 import threading
@@ -442,8 +442,8 @@ class TestAdmissionOverHTTP:
 
     def test_experiment_timeout_leaves_point_futures_alive(self,
                                                            monkeypatch):
-        """Cancelling the gather in _get_experiment must not cancel the
-        per-point engine futures it awaits (they are shared)."""
+        """A request deadline passing in _get_experiment must not cancel
+        the per-point engine futures it waits on (they are shared)."""
         gate = threading.Event()
 
         def run_point(point):
@@ -453,18 +453,14 @@ class TestAdmissionOverHTTP:
         register_experiment(monkeypatch, "zz_gsh", run_point=run_point)
         app = ServeApp(request_timeout_s=0.3)
         try:
-            async def scenario():
-                with pytest.raises(asyncio.TimeoutError):
-                    await app._admitted(
-                        lambda: app._get_experiment("zz_gsh", {}))
-                futures = list(app.engine._inflight.values())
-                assert len(futures) == N_POINTS
-                assert not any(f.cancelled() for f in futures)
-                gate.set()
-                outs = [await asyncio.wrap_future(f) for f in futures]
-                assert all(o.ok for o in outs)
-
-            asyncio.run(scenario())
+            with pytest.raises(concurrent.futures.TimeoutError):
+                app._admitted(app._get_experiment, "zz_gsh", {})
+            futures = list(app.engine._inflight.values())
+            assert len(futures) == N_POINTS
+            assert not any(f.cancelled() for f in futures)
+            gate.set()
+            outs = [f.result(15) for f in futures]
+            assert all(o.ok for o in outs)
         finally:
             gate.set()
             app.engine.close()

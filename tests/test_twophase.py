@@ -358,21 +358,36 @@ class TestCollectiveRead:
 
 
 class TestDomains:
-    def test_domains_are_aligned_and_cover_range(self):
+    @staticmethod
+    def _domain_bytes(requests, align):
+        """Bytes each rank writes in the I/O phase of one collective
+        write of ``requests[rank]``: the size of its file domain when
+        the requests cover the whole range."""
         machine = Machine(paragon_small(4, 2))
-        comm = Communicator(machine, 4)
-        tp = TwoPhaseIO(comm)
-        domains = tp._domains(0, 1000 * KB, align=64 * KB)
-        assert domains[0][0] == 0
-        assert domains[-1][1] == 1000 * KB
-        for (a0, a1), (b0, b1) in zip(domains, domains[1:]):
-            assert a1 == b0
-        for a0, a1 in domains[:-1]:
-            if a1 != 1000 * KB:
-                assert a1 % (64 * KB) == 0
+        comm = Communicator(machine, len(requests))
+        interface = PassionIO(PFS(machine), trace=TraceCollector())
+        tp = TwoPhaseIO(comm, align=align)
+        written = {}
+
+        def program(rank, comm):
+            f = yield from interface.open(rank, "dom", create=True)
+            written[rank] = yield from tp.collective_write(
+                rank, f, requests[rank])
+        machine.env.run(machine.env.all_of(comm.spawn(program)))
+        return [written[r] for r in range(len(requests))]
+
+    def test_domains_are_aligned_and_cover_range(self):
+        quarter = 250 * KB
+        written = self._domain_bytes(
+            [[IORequest(r * quarter, quarter)] for r in range(4)],
+            align=64 * KB)
+        assert written == [256 * KB, 256 * KB, 256 * KB, 232 * KB]
+        # A range shorter than P aligned domains leaves the last empty.
+        written = self._domain_bytes(
+            [[IORequest(r * 25 * KB, 25 * KB)] for r in range(4)],
+            align=64 * KB)
+        assert written == [64 * KB, 36 * KB, 0, 0]
 
     def test_empty_range_gives_empty_domains(self):
-        machine = Machine(paragon_small(4, 2))
-        comm = Communicator(machine, 3)
-        tp = TwoPhaseIO(comm)
-        assert tp._domains(5, 5, 64) == [(5, 5)] * 3
+        assert self._domain_bytes([[IORequest(5, 0)]] * 3, align=64) \
+            == [0, 0, 0]

@@ -85,16 +85,17 @@ class TestEdgeCases:
             machine.env.run(machine.env.all_of(procs))
 
     def test_custom_alignment_respected(self):
-        machine, fs, comm, interface = _setup(2)
+        machine, fs, comm, interface = _setup(3)
         tp = TwoPhaseIO(comm, align=4 * KB)
+        written = {}
         def program(rank, comm):
             f = yield from interface.open(rank, "al", create=True)
-            reqs = [IORequest((k * 2 + rank) * KB, KB) for k in range(8)]
-            yield from tp.collective_write(rank, f, reqs)
+            reqs = [IORequest((k * 3 + rank) * KB, KB) for k in range(6)]
+            written[rank] = yield from tp.collective_write(rank, f, reqs)
         _run(machine, comm, program)
-        # Domain boundary must land on the 4 KB alignment.
-        domains = tp._domains(0, 16 * KB, 4 * KB)
-        assert domains[0][1] % (4 * KB) == 0
+        # 18 KB over 3 ranks is 6 KB each, rounded up to the 4 KB
+        # alignment: domain boundaries land at 8 KB and 16 KB.
+        assert [written[r] for r in range(3)] == [8 * KB, 8 * KB, 2 * KB]
 
     def test_stripe_aligned_domains_no_slower_than_byte_domains(
             self, monkeypatch):
